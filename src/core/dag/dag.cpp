@@ -762,8 +762,12 @@ class DagExecutor {
       case DagNodeKind::kCampaign: {
         // Topological scheduling guarantees every dependency was
         // scheduled before anything downstream asks for its result.
-        for (std::size_t p = 0; p < state.handles.size(); ++p) {
-          run.points[p].result = state.handles[p].get();
+        // Blocking on the handles is waiting, not node work.
+        {
+          obs::Span wait("dag.wait");
+          for (std::size_t p = 0; p < state.handles.size(); ++p) {
+            run.points[p].result = state.handles[p].get();
+          }
         }
         state.handles.clear();
         if (node.kind == DagNodeKind::kScenario) {

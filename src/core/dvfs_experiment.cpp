@@ -9,6 +9,7 @@
 
 #include "analysis/stats.hpp"
 #include "core/config_builder.hpp"
+#include "core/obs/obs.hpp"
 #include "core/pattern_spec.hpp"
 #include "gpusim/dvfs/dsl_util.hpp"
 #include "patterns/rng.hpp"
@@ -23,8 +24,10 @@ gpupower::gpusim::ActivityEstimate typed_activity(
     const gpupower::gpusim::GpuSimulator& sim, const PatternSpec& pattern,
     gpupower::numeric::DType dtype, std::size_t n,
     const gemm::GemmProblem& problem, std::uint64_t replica_seed) {
-  const ExperimentInputs<T> inputs =
-      build_inputs<T>(pattern, dtype, n, replica_seed);
+  const ExperimentInputs<T> inputs = [&] {
+    obs::Span span("inputs.build");
+    return build_inputs<T>(pattern, dtype, n, replica_seed);
+  }();
   return sim.activity(problem, dtype, inputs.a, inputs.b);
 }
 
@@ -47,7 +50,7 @@ std::vector<gpupower::gpusim::ActivityTotals> replica_activity_variants(
     const ExperimentConfig& experiment,
     std::span<const PatternSpec> phase_patterns,
     const dvfs::WorkloadTimeline& timeline, const gemm::GemmProblem& problem,
-    int seed_index) {
+    int seed_index, ActivityMemo* memo) {
   const int max_ref = timeline.max_pattern_index();
   if (max_ref >= static_cast<int>(phase_patterns.size())) {
     throw std::invalid_argument(
@@ -59,19 +62,27 @@ std::vector<gpupower::gpusim::ActivityTotals> replica_activity_variants(
   const std::uint64_t replica_seed = patterns::derive_seed(
       experiment.base_seed, static_cast<std::uint64_t>(seed_index));
 
+  const auto walk = [&](const PatternSpec& pattern) {
+    const auto compute = [&] {
+      return pattern_activity(sim, pattern, experiment.dtype, experiment.n,
+                              problem, replica_seed)
+          .totals;
+    };
+    if (memo == nullptr) return compute();
+    return memo->lookup(
+        activity_memo_key(pattern, experiment.dtype, experiment.n, problem,
+                          sim.options(), replica_seed),
+        compute);
+  };
+
   std::vector<gpupower::gpusim::ActivityTotals> variants;
   variants.reserve(phase_patterns.size() + 1);
-  variants.push_back(pattern_activity(sim, experiment.pattern,
-                                      experiment.dtype, experiment.n, problem,
-                                      replica_seed)
-                         .totals);
+  variants.push_back(walk(experiment.pattern));
   // Every listed pattern gets its variant (index k -> variant k + 1), with
   // the same replica seed: a phase pattern equal to the base pattern
   // produces bit-identical totals, which the parity tests pin.
   for (const PatternSpec& pattern : phase_patterns) {
-    variants.push_back(pattern_activity(sim, pattern, experiment.dtype,
-                                        experiment.n, problem, replica_seed)
-                           .totals);
+    variants.push_back(walk(pattern));
   }
   return variants;
 }
@@ -98,7 +109,7 @@ std::string validate_dvfs_config(const DvfsConfig& config) {
 }
 
 dvfs::ReplayResult run_dvfs_seed_replica(const DvfsConfig& config,
-                                         int seed_index) {
+                                         int seed_index, ActivityMemo* memo) {
   if (config.slice_s <= 0.0) {
     throw std::invalid_argument("run_dvfs_seed_replica: slice_s must be > 0");
   }
@@ -121,7 +132,7 @@ dvfs::ReplayResult run_dvfs_seed_replica(const DvfsConfig& config,
   const std::vector<gpupower::gpusim::ActivityTotals> variants =
       replica_activity_variants(sim, config.experiment,
                                 config.phase_patterns, config.timeline,
-                                problem, seed_index);
+                                problem, seed_index, memo);
 
   const dvfs::PStateTable table =
       config.pstates <= 1

@@ -3,7 +3,8 @@
 // datatype, problem size, input pattern, seeds) — which fixes the *active*
 // power level via the activity walk — with a workload timeline, a governor
 // policy, and the P-state table depth.  Each seed replica builds its own
-// inputs, estimates activity, and replays the timeline; replicas reduce
+// inputs and estimates activity (or, inside the engine, takes the walk
+// from its ActivityMemo), then replays the timeline; replicas reduce
 // across seeds in seed order, exactly like run_experiment, so results are
 // bit-identical no matter how many engine workers computed them.
 #pragma once
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/activity_memo.hpp"
 #include "core/experiment.hpp"
 #include "gpusim/dvfs/governor.hpp"
 #include "gpusim/dvfs/replay.hpp"
@@ -70,9 +72,10 @@ struct DvfsResult {
 
 /// Replays one seed replica's timeline.  Pure and thread-safe, like
 /// run_seed_replica.  Throws std::invalid_argument on a non-positive slice
-/// or an empty timeline.
+/// or an empty timeline.  `memo`, when given, serves the activity walks
+/// (see replica_activity_variants); results are bit-identical either way.
 [[nodiscard]] gpupower::gpusim::dvfs::ReplayResult run_dvfs_seed_replica(
-    const DvfsConfig& config, int seed_index);
+    const DvfsConfig& config, int seed_index, ActivityMemo* memo = nullptr);
 
 /// Folds per-seed replays (in seed order) into the reported result.
 [[nodiscard]] DvfsResult reduce_dvfs_replicas(
@@ -109,13 +112,16 @@ struct DvfsResult {
 /// (replica_sim_options(experiment, seed_index)) — passed in so the
 /// caller's descriptor and the activity walk cannot drift apart.  Throws
 /// std::invalid_argument when a phase references a pattern index outside
-/// `phase_patterns`.
+/// `phase_patterns`.  With a `memo`, each variant's walk is looked up
+/// under activity_memo_key and computed only on a miss; without one, every
+/// walk runs (the reference path the memo is pinned bit-identical to).
 [[nodiscard]] std::vector<gpupower::gpusim::ActivityTotals>
 replica_activity_variants(
     const gpupower::gpusim::GpuSimulator& sim,
     const ExperimentConfig& experiment,
     std::span<const PatternSpec> phase_patterns,
     const gpupower::gpusim::dvfs::WorkloadTimeline& timeline,
-    const gemm::GemmProblem& problem, int seed_index);
+    const gemm::GemmProblem& problem, int seed_index,
+    ActivityMemo* memo = nullptr);
 
 }  // namespace gpupower::core

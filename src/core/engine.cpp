@@ -1,5 +1,6 @@
 #include "core/engine.hpp"
 
+#include "core/activity_memo.hpp"
 #include "core/annotations.hpp"
 #include "core/obs/obs.hpp"
 #include "core/store/result_store.hpp"
@@ -69,7 +70,11 @@ struct EngineState {
   /// (canonical_scenario_key), so kinds can never collide.
   std::unordered_map<std::string, std::shared_ptr<ScenarioJob>> cache
       GPUPOWER_GUARDED_BY(cache_mutex);
-  EngineStats stats GPUPOWER_GUARDED_BY(cache_mutex);
+  /// Submit-path counters (submitted, cache_hits, jobs_computed,
+  /// store_hits) per kind — the only copy; stats() derives the aggregates
+  /// and fills the remaining fields from the atomics and memos below.
+  EngineKindStats kind_stats[kScenarioKindCount]
+      GPUPOWER_GUARDED_BY(cache_mutex);
   std::atomic<std::uint64_t> replicas_run[kScenarioKindCount] = {};
   std::atomic<std::uint64_t> store_writes[kScenarioKindCount] = {};
   /// Per-kind stage timings in ns, accumulated by workers only while the
@@ -79,6 +84,15 @@ struct EngineState {
   std::atomic<std::int64_t> reduce_ns[kScenarioKindCount] = {};
   std::atomic<std::int64_t> store_read_ns[kScenarioKindCount] = {};
   std::atomic<std::int64_t> store_write_ns[kScenarioKindCount] = {};
+  /// One activity memo per kind, so hit/miss counts attribute to the kind
+  /// that looked up (kinds whose hook ignores it keep theirs empty).  Used
+  /// only when the cache is enabled: a cache-less engine recomputes by
+  /// contract.
+  ActivityMemo activity_memo[kScenarioKindCount];
+
+  [[nodiscard]] ActivityMemo* memo(std::size_t kind_index) noexcept {
+    return options.cache_enabled ? &activity_memo[kind_index] : nullptr;
+  }
 
   /// The persistent store, when one is attached AND the cache is enabled
   /// (a cache-less engine recomputes by contract, so it must not read
@@ -216,7 +230,7 @@ void run_replica_task(EngineState& state,
     // Disjoint slots: no lock needed for the write, the job's atomic
     // countdown orders it before the reduction.
     job->replicas[static_cast<std::size_t>(seed_index)] =
-        info.run_replica(job->config, seed_index);
+        info.run_replica(job->config, seed_index, state.memo(kind_index));
   } catch (...) {
     MutexLock lock(job->mutex);
     if (!job->error) job->error = std::current_exception();
@@ -442,13 +456,11 @@ std::shared_ptr<detail::ScenarioJob> ExperimentEngine::submit_job(
 
   {
     MutexLock lock(state.cache_mutex);
-    ++state.stats.submitted;
-    ++state.stats.by_kind[kind_index].submitted;
+    ++state.kind_stats[kind_index].submitted;
     if (state.options.cache_enabled) {
       const auto it = state.cache.find(job->cache_key);
       if (it != state.cache.end()) {
-        ++state.stats.cache_hits;
-        ++state.stats.by_kind[kind_index].cache_hits;
+        ++state.kind_stats[kind_index].cache_hits;
         if (outcome != nullptr) *outcome = SubmitOutcome::kCacheHit;
         return it->second;
       }
@@ -485,13 +497,11 @@ std::shared_ptr<detail::ScenarioJob> ExperimentEngine::submit_job(
       MutexLock lock(state.cache_mutex);
       const auto [it, inserted] = state.cache.try_emplace(job->cache_key, job);
       if (!inserted) {
-        ++state.stats.cache_hits;
-        ++state.stats.by_kind[kind_index].cache_hits;
+        ++state.kind_stats[kind_index].cache_hits;
         if (outcome != nullptr) *outcome = SubmitOutcome::kCacheHit;
         return it->second;
       }
-      ++state.stats.store_hits;
-      ++state.stats.by_kind[kind_index].store_hits;
+      ++state.kind_stats[kind_index].store_hits;
       if (outcome != nullptr) *outcome = SubmitOutcome::kStoreHit;
       return job;
     }
@@ -502,14 +512,12 @@ std::shared_ptr<detail::ScenarioJob> ExperimentEngine::submit_job(
     if (state.options.cache_enabled) {
       const auto [it, inserted] = state.cache.try_emplace(job->cache_key, job);
       if (!inserted) {
-        ++state.stats.cache_hits;
-        ++state.stats.by_kind[kind_index].cache_hits;
+        ++state.kind_stats[kind_index].cache_hits;
         if (outcome != nullptr) *outcome = SubmitOutcome::kCacheHit;
         return it->second;
       }
     }
-    ++state.stats.jobs_computed;
-    ++state.stats.by_kind[kind_index].jobs_computed;
+    ++state.kind_stats[kind_index].jobs_computed;
   }
 
   {
@@ -618,44 +626,49 @@ void ExperimentEngine::wait_all() {
   }
 }
 
+EngineKindStats& EngineKindStats::operator+=(
+    const EngineKindStats& other) noexcept {
+  submitted += other.submitted;
+  cache_hits += other.cache_hits;
+  jobs_computed += other.jobs_computed;
+  replicas_run += other.replicas_run;
+  store_hits += other.store_hits;
+  store_writes += other.store_writes;
+  activity_memo_hits += other.activity_memo_hits;
+  activity_memo_misses += other.activity_memo_misses;
+  compute_seconds += other.compute_seconds;
+  queue_wait_seconds += other.queue_wait_seconds;
+  reduce_seconds += other.reduce_seconds;
+  store_read_seconds += other.store_read_seconds;
+  store_write_seconds += other.store_write_seconds;
+  return *this;
+}
+
 EngineStats ExperimentEngine::stats() const {
   constexpr double kNsToSeconds = 1e-9;
-  MutexLock lock(state_->cache_mutex);
-  EngineStats stats = state_->stats;
-  stats.replicas_run = 0;
-  stats.store_writes = 0;
+  const auto seconds = [](const std::atomic<std::int64_t>& ns) {
+    return static_cast<double>(ns.load(std::memory_order_relaxed)) *
+           kNsToSeconds;
+  };
+  EngineStats stats;
+  {
+    MutexLock lock(state_->cache_mutex);
+    for (std::size_t k = 0; k < kScenarioKindCount; ++k) {
+      stats.by_kind[k] = state_->kind_stats[k];
+    }
+  }
   for (std::size_t k = 0; k < kScenarioKindCount; ++k) {
     EngineKindStats& kind = stats.by_kind[k];
     kind.replicas_run = state_->replicas_run[k].load(std::memory_order_relaxed);
-    stats.replicas_run += kind.replicas_run;
     kind.store_writes = state_->store_writes[k].load(std::memory_order_relaxed);
-    stats.store_writes += kind.store_writes;
-
-    kind.compute_seconds =
-        static_cast<double>(
-            state_->compute_ns[k].load(std::memory_order_relaxed)) *
-        kNsToSeconds;
-    kind.queue_wait_seconds =
-        static_cast<double>(
-            state_->queue_wait_ns[k].load(std::memory_order_relaxed)) *
-        kNsToSeconds;
-    kind.reduce_seconds =
-        static_cast<double>(
-            state_->reduce_ns[k].load(std::memory_order_relaxed)) *
-        kNsToSeconds;
-    kind.store_read_seconds =
-        static_cast<double>(
-            state_->store_read_ns[k].load(std::memory_order_relaxed)) *
-        kNsToSeconds;
-    kind.store_write_seconds =
-        static_cast<double>(
-            state_->store_write_ns[k].load(std::memory_order_relaxed)) *
-        kNsToSeconds;
-    stats.compute_seconds += kind.compute_seconds;
-    stats.queue_wait_seconds += kind.queue_wait_seconds;
-    stats.reduce_seconds += kind.reduce_seconds;
-    stats.store_read_seconds += kind.store_read_seconds;
-    stats.store_write_seconds += kind.store_write_seconds;
+    kind.activity_memo_hits = state_->activity_memo[k].hits();
+    kind.activity_memo_misses = state_->activity_memo[k].misses();
+    kind.compute_seconds = seconds(state_->compute_ns[k]);
+    kind.queue_wait_seconds = seconds(state_->queue_wait_ns[k]);
+    kind.reduce_seconds = seconds(state_->reduce_ns[k]);
+    kind.store_read_seconds = seconds(state_->store_read_ns[k]);
+    kind.store_write_seconds = seconds(state_->store_write_ns[k]);
+    stats += kind;
   }
   return stats;
 }
@@ -707,7 +720,7 @@ std::string engine_stats_line(const ExperimentEngine& engine) {
 namespace {
 
 /// The counter + timing fields shared by the aggregate and per-kind
-/// objects; `fill` must mirror the EngineKindStats field list.
+/// objects; must mirror the EngineKindStats field list.
 analysis::JsonValue kind_stats_json(const EngineKindStats& k) {
   using analysis::JsonValue;
   JsonValue out = JsonValue::object();
@@ -730,6 +743,10 @@ analysis::JsonValue kind_stats_json(const EngineKindStats& k) {
           JsonValue::number(
               lookups > 0.0 ? static_cast<double>(k.store_hits) / lookups
                             : 0.0));
+  out.set("activity_memo_hits",
+          JsonValue::integer(static_cast<long long>(k.activity_memo_hits)));
+  out.set("activity_memo_misses",
+          JsonValue::integer(static_cast<long long>(k.activity_memo_misses)));
   out.set("compute_seconds", JsonValue::number(k.compute_seconds));
   out.set("queue_wait_seconds", JsonValue::number(k.queue_wait_seconds));
   out.set("reduce_seconds", JsonValue::number(k.reduce_seconds));
@@ -744,20 +761,7 @@ analysis::JsonValue engine_stats_json(const EngineStats& stats, int workers) {
   using analysis::JsonValue;
   // The aggregate view reuses the per-kind schema (the aggregate fields
   // are the sums by construction).
-  EngineKindStats total;
-  total.submitted = stats.submitted;
-  total.cache_hits = stats.cache_hits;
-  total.jobs_computed = stats.jobs_computed;
-  total.replicas_run = stats.replicas_run;
-  total.store_hits = stats.store_hits;
-  total.store_writes = stats.store_writes;
-  total.compute_seconds = stats.compute_seconds;
-  total.queue_wait_seconds = stats.queue_wait_seconds;
-  total.reduce_seconds = stats.reduce_seconds;
-  total.store_read_seconds = stats.store_read_seconds;
-  total.store_write_seconds = stats.store_write_seconds;
-
-  JsonValue out = kind_stats_json(total);
+  JsonValue out = kind_stats_json(stats);
   JsonValue by_kind = analysis::JsonValue::object();
   for (const auto kind : kAllScenarioKinds) {
     by_kind.set(name(kind), kind_stats_json(stats.of(kind)));

@@ -31,6 +31,10 @@
 //    duplicates attach to the running job.
 //  - `submit` never blocks; per-seed tasks fan out across a fixed worker
 //    pool shared by all outstanding jobs of every kind.
+//  - With the cache enabled, DVFS and fleet replicas take their activity
+//    walks from a per-kind ActivityMemo (core/activity_memo.hpp), so jobs
+//    that differ only in consumer-side fields (GPU, cap, allocator,
+//    governor) walk each distinct input once.
 #pragma once
 
 #include <cstdint>
@@ -82,35 +86,31 @@ struct EngineOptions {
 /// switch is on (core/obs/obs.hpp: gpowerctl --trace-out/--metrics-out,
 /// GPUPOWER_TRACE/GPUPOWER_METRICS, serve); they read 0.0 otherwise.
 struct EngineKindStats {
-  std::uint64_t submitted = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t jobs_computed = 0;
-  std::uint64_t replicas_run = 0;
+  std::uint64_t submitted = 0;     ///< submit() calls
+  std::uint64_t cache_hits = 0;    ///< submits served by an existing job
+  std::uint64_t jobs_computed = 0; ///< unique configs actually scheduled
+  std::uint64_t replicas_run = 0;  ///< seed-replica tasks executed
   std::uint64_t store_hits = 0;    ///< submits served from the on-disk store
   std::uint64_t store_writes = 0;  ///< completed jobs persisted to the store
+  /// Activity walks served by the engine's memo (completed or in-flight
+  /// entry) / computed on a miss.  Only dvfs and fleet replicas look up;
+  /// both stay 0 when the cache is disabled.
+  std::uint64_t activity_memo_hits = 0;
+  std::uint64_t activity_memo_misses = 0;
 
   double compute_seconds = 0.0;      ///< replica hook time, summed per task
   double queue_wait_seconds = 0.0;   ///< enqueue -> worker-pickup, per task
   double reduce_seconds = 0.0;       ///< seed-order reduction time
   double store_read_seconds = 0.0;   ///< store lookup time (hits and misses)
   double store_write_seconds = 0.0;  ///< store write-back time
+
+  /// Adds every field of `other` (the aggregate is the per-kind sum).
+  EngineKindStats& operator+=(const EngineKindStats& other) noexcept;
 };
 
-struct EngineStats {
-  std::uint64_t submitted = 0;     ///< total submit() calls, every kind
-  std::uint64_t cache_hits = 0;    ///< submits served by an existing job
-  std::uint64_t jobs_computed = 0; ///< unique configs actually scheduled
-  std::uint64_t replicas_run = 0;  ///< seed-replica tasks executed
-  std::uint64_t store_hits = 0;    ///< submits served from the on-disk store
-  std::uint64_t store_writes = 0;  ///< completed jobs persisted to the store
-
-  double compute_seconds = 0.0;      ///< sums of the per-kind timings below
-  double queue_wait_seconds = 0.0;
-  double reduce_seconds = 0.0;
-  double store_read_seconds = 0.0;
-  double store_write_seconds = 0.0;
-
-  /// Per-kind breakdown; the aggregate fields above are the sums.
+/// Engine-wide counters: the inherited fields are the sums over every
+/// kind, derived from the per-kind breakdown in stats().
+struct EngineStats : EngineKindStats {
   EngineKindStats by_kind[kScenarioKindCount];
 
   [[nodiscard]] const EngineKindStats& of(ScenarioKind kind) const noexcept {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "analysis/stats.hpp"
+#include "core/obs/obs.hpp"
 #include "patterns/rng.hpp"
 
 namespace gpupower::core {
@@ -22,8 +23,11 @@ SeedReplicaResult run_typed_replica(const ExperimentConfig& config,
 
   const std::uint64_t replica_seed = patterns::derive_seed(
       config.base_seed, static_cast<std::uint64_t>(seed_index));
-  const ExperimentInputs<T> inputs =
-      build_inputs<T>(config.pattern, config.dtype, config.n, replica_seed);
+  const ExperimentInputs<T> inputs = [&] {
+    obs::Span span("inputs.build");
+    return build_inputs<T>(config.pattern, config.dtype, config.n,
+                           replica_seed);
+  }();
   const gpupower::gpusim::PowerReport report =
       sim.run_gemm(problem, config.dtype, inputs.a, inputs.b);
 

@@ -100,9 +100,10 @@ struct FleetResult {
 /// Replays one seed replica's fleet.  Pure and thread-safe, like
 /// run_seed_replica.  Throws std::invalid_argument on an invalid config
 /// (no devices, missing timeline, out-of-range indices, non-positive
-/// slice or cap).
+/// slice or cap).  `memo`, when given, serves the per-seed activity walks
+/// (see replica_activity_variants); results are bit-identical either way.
 [[nodiscard]] gpupower::gpusim::fleet::FleetRun run_fleet_seed_replica(
-    const FleetConfig& config, int seed_index);
+    const FleetConfig& config, int seed_index, ActivityMemo* memo = nullptr);
 
 /// Folds per-seed replays (in seed order) into the reported result.
 [[nodiscard]] FleetResult reduce_fleet_replicas(

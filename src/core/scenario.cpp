@@ -49,7 +49,11 @@ std::string static_key(const ScenarioConfig& config) {
   return canonical_config_key(config.static_config());
 }
 
-ScenarioReplica static_replica(const ScenarioConfig& config, int seed_index) {
+// Static replicas bypass the activity memo: a figure sweep has distinct
+// inputs at every point, so memoising found nothing to reuse there while
+// raising peak memory.
+ScenarioReplica static_replica(const ScenarioConfig& config, int seed_index,
+                               ActivityMemo* /*memo*/) {
   return run_seed_replica(config.static_config(), seed_index);
 }
 
@@ -74,8 +78,9 @@ std::string dvfs_key(const ScenarioConfig& config) {
   return canonical_dvfs_key(config.dvfs());
 }
 
-ScenarioReplica dvfs_replica(const ScenarioConfig& config, int seed_index) {
-  return run_dvfs_seed_replica(config.dvfs(), seed_index);
+ScenarioReplica dvfs_replica(const ScenarioConfig& config, int seed_index,
+                             ActivityMemo* memo) {
+  return run_dvfs_seed_replica(config.dvfs(), seed_index, memo);
 }
 
 ScenarioResult dvfs_reduce(const ScenarioConfig& config,
@@ -102,8 +107,9 @@ std::string fleet_key(const ScenarioConfig& config) {
   return canonical_fleet_key(config.fleet());
 }
 
-ScenarioReplica fleet_replica(const ScenarioConfig& config, int seed_index) {
-  return run_fleet_seed_replica(config.fleet(), seed_index);
+ScenarioReplica fleet_replica(const ScenarioConfig& config, int seed_index,
+                              ActivityMemo* memo) {
+  return run_fleet_seed_replica(config.fleet(), seed_index, memo);
 }
 
 ScenarioResult fleet_reduce(const ScenarioConfig& config,
@@ -688,7 +694,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   std::vector<ScenarioReplica> replicas;
   replicas.reserve(static_cast<std::size_t>(config.seeds()));
   for (int s = 0; s < config.seeds(); ++s) {
-    replicas.push_back(info.run_replica(config, s));
+    replicas.push_back(info.run_replica(config, s, nullptr));
   }
   return info.reduce(config, replicas);
 }

@@ -120,8 +120,11 @@ struct ScenarioKindInfo {
   /// Canonical cache key within the kind; the engine prefixes the kind
   /// name, so keys of different kinds can never collide.
   std::string (*canonical_key)(const ScenarioConfig&) = nullptr;
-  ScenarioReplica (*run_replica)(const ScenarioConfig&, int seed_index) =
-      nullptr;
+  /// `memo` (nullable) is the engine's activity memo for the kind; kinds
+  /// whose replicas walk activity through replica_activity_variants pass
+  /// it on, others ignore it.
+  ScenarioReplica (*run_replica)(const ScenarioConfig&, int seed_index,
+                                 ActivityMemo* memo) = nullptr;
   /// Consumes the replica slots (they are moved from), folding in seed
   /// order.
   ScenarioResult (*reduce)(const ScenarioConfig&,

@@ -10,6 +10,7 @@
 
 #include <cstdlib>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/config_builder.hpp"
@@ -17,6 +18,8 @@
 #include "core/engine.hpp"
 #include "core/env.hpp"
 #include "core/fleet_experiment.hpp"
+#include "core/pattern_dsl.hpp"
+#include "core/spec.hpp"
 #include "gpusim/fleet/allocator.hpp"
 #include "gpusim/fleet/thermal.hpp"
 #include "gpusim/simulator.hpp"
@@ -581,6 +584,139 @@ TEST(Fleet, CacheKeySeparatesCapsAllocatorsAndThermal) {
   b = a;
   b.devices[1].priority += 1;
   EXPECT_NE(core::canonical_fleet_key(a), core::canonical_fleet_key(b));
+}
+
+// --- the engine's activity memo -------------------------------------------
+
+/// The expanded points of a committed campaign spec.
+std::vector<core::ScenarioConfig> spec_points(const std::string& relative) {
+  const core::SpecParseResult parsed = core::load_scenario_spec(
+      std::string(GPUPOWER_SOURCE_DIR) + "/" + relative);
+  EXPECT_TRUE(parsed.ok) << parsed.error;
+  std::vector<core::CampaignPoint> points;
+  std::string error;
+  EXPECT_TRUE(core::expand_campaign(parsed.spec, points, error)) << error;
+  std::vector<core::ScenarioConfig> configs;
+  for (const core::CampaignPoint& point : points) {
+    configs.push_back(point.config);
+  }
+  return configs;
+}
+
+/// Exact serialisation (the store's codec: round-trip precision, full
+/// traces), so string equality is bit-identity.
+std::string exact(const core::ScenarioResult& result) {
+  return core::scenario_result_to_json(result).dump();
+}
+
+/// The serial reference: run_*_seed_replica without a memo, per seed.
+std::vector<std::string> run_serial(
+    const std::vector<core::ScenarioConfig>& configs) {
+  std::vector<std::string> results;
+  for (const core::ScenarioConfig& config : configs) {
+    if (config.kind() == core::ScenarioKind::kFleet) {
+      std::vector<FleetRun> replicas;
+      for (int s = 0; s < config.seeds(); ++s) {
+        replicas.push_back(core::run_fleet_seed_replica(config.fleet(), s));
+      }
+      results.push_back(exact(
+          core::reduce_fleet_replicas(config.fleet(), replicas)));
+    } else {
+      std::vector<dvfs::ReplayResult> replicas;
+      for (int s = 0; s < config.seeds(); ++s) {
+        replicas.push_back(core::run_dvfs_seed_replica(config.dvfs(), s));
+      }
+      results.push_back(exact(
+          core::reduce_dvfs_replicas(config.dvfs(), replicas)));
+    }
+  }
+  return results;
+}
+
+struct EngineRun {
+  std::vector<std::string> results;
+  core::EngineStats stats;
+};
+
+EngineRun run_engine(const std::vector<core::ScenarioConfig>& configs,
+                     int workers, bool cache_enabled) {
+  core::EngineOptions options = core::EngineOptions::with_workers(workers);
+  options.cache_enabled = cache_enabled;
+  core::ExperimentEngine engine(options);
+  const std::vector<core::ScenarioHandle> handles =
+      engine.submit_batch(configs);
+  EngineRun run;
+  for (const core::ScenarioHandle& handle : handles) {
+    run.results.push_back(exact(handle.get()));
+  }
+  run.stats = engine.stats();
+  return run;
+}
+
+TEST(FleetActivityMemo, FleetCappingSpecIsBitIdenticalAndWalksTwice) {
+  const std::vector<core::ScenarioConfig> configs =
+      spec_points("examples/specs/fleet_capping.json");
+  ASSERT_EQ(configs.size(), 12u);
+  const std::vector<std::string> serial = run_serial(configs);
+
+  for (const int workers : {1, 4}) {
+    const EngineRun memo = run_engine(configs, workers, true);
+    const EngineRun cacheless = run_engine(configs, workers, false);
+    EXPECT_EQ(memo.results, serial) << workers << " worker(s)";
+    EXPECT_EQ(cacheless.results, serial) << workers << " worker(s)";
+
+    // 12 allocator x cap points share 2 seeds' inputs: 2 walks, 22 reuses,
+    // and every replica still runs.
+    const core::EngineKindStats& fleet = memo.stats.of(core::ScenarioKind::kFleet);
+    EXPECT_EQ(fleet.activity_memo_misses, 2u);
+    EXPECT_EQ(fleet.activity_memo_hits, 22u);
+    EXPECT_EQ(fleet.replicas_run, 24u);
+    EXPECT_EQ(memo.stats.activity_memo_misses, 2u);
+    EXPECT_EQ(memo.stats.activity_memo_hits, 22u);
+    // A cache-less engine recomputes by contract.
+    EXPECT_EQ(cacheless.stats.activity_memo_misses, 0u);
+    EXPECT_EQ(cacheless.stats.activity_memo_hits, 0u);
+    EXPECT_EQ(cacheless.stats.replicas_run, 24u);
+  }
+}
+
+TEST(FleetActivityMemo, DvfsPhasePatternsAreBitIdenticalWithExactCounts) {
+  // Three governors over one working point; each replica walks the base
+  // pattern, a phase pattern equal to it (same key) and a sparse one.
+  DvfsConfig base = small_dvfs_config();
+  const auto sparse = core::parse_pattern("gaussian() | sparsity(90%)");
+  ASSERT_TRUE(sparse.ok) << sparse.error;
+  base.phase_patterns = {base.experiment.pattern, sparse.spec};
+  base.timeline = dvfs::parse_timeline(
+                      "constant(util=1, dur=0.1, pattern=0) | "
+                      "constant(util=60%, dur=0.1) | "
+                      "constant(util=1, dur=0.1, pattern=1)")
+                      .timeline;
+  std::vector<core::ScenarioConfig> configs;
+  for (const auto policy : {dvfs::GovernorConfig::Policy::kFixed,
+                            dvfs::GovernorConfig::Policy::kUtilization,
+                            dvfs::GovernorConfig::Policy::kOracle}) {
+    DvfsConfig config = base;
+    config.governor.policy = policy;
+    configs.emplace_back(config);
+  }
+  const std::vector<std::string> serial = run_serial(configs);
+
+  for (const int workers : {1, 4}) {
+    const EngineRun memo = run_engine(configs, workers, true);
+    const EngineRun cacheless = run_engine(configs, workers, false);
+    EXPECT_EQ(memo.results, serial) << workers << " worker(s)";
+    EXPECT_EQ(cacheless.results, serial) << workers << " worker(s)";
+
+    // 3 configs x 2 seeds x 3 variants = 18 lookups over 2 seeds x 2
+    // distinct patterns.
+    const core::EngineKindStats& dvfs_stats =
+        memo.stats.of(core::ScenarioKind::kDvfs);
+    EXPECT_EQ(dvfs_stats.activity_memo_misses, 4u);
+    EXPECT_EQ(dvfs_stats.activity_memo_hits, 14u);
+    EXPECT_EQ(dvfs_stats.replicas_run, 6u);
+    EXPECT_EQ(cacheless.stats.activity_memo_misses, 0u);
+  }
 }
 
 }  // namespace

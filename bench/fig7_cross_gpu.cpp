@@ -53,7 +53,8 @@ int main() {
                                         .n(2048)
                                         .seeds(1)
                                         .build())
-                            .get();
+                            .get()
+                            .static_result();
     std::printf(
         "RTX 6000 at 2048x2048: %.1f W, throttled=%s (clock frac %.3f) — "
         "matching the paper, Fig. 7 uses 512x512 for this card.\n\n",
@@ -88,7 +89,7 @@ int main() {
     for (std::size_t i = 0; i < runs.front().points.size(); ++i) {
       std::vector<double> row;
       for (const core::SweepRun& run : runs) {
-        row.push_back(run.handles[i].get().power_w);
+        row.push_back(run.handles[i].get().static_result().power_w);
       }
       table.add_row(runs.front().points[i].label, row, 1);
     }

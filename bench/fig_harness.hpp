@@ -87,7 +87,7 @@ inline int run_figure(core::FigureId id) {
   for (std::size_t p = 0; p < n_points; ++p) {
     std::vector<double> row;
     for (const core::SweepRun& run : runs) {
-      row.push_back(run.handles[p].get().power_w);
+      row.push_back(run.handles[p].get().static_result().power_w);
     }
     table.add_row(runs.front().points[p].label, row, 1);
   }

@@ -83,7 +83,7 @@ struct DvfsResult {
     std::span<const gpupower::gpusim::dvfs::ReplayResult> replicas);
 
 /// Serial reference: all seed replicas in order.  Prefer
-/// ExperimentEngine::submit_dvfs for anything sweep-shaped.
+/// ExperimentEngine::submit (core/engine.hpp) for anything sweep-shaped.
 [[nodiscard]] DvfsResult run_dvfs(const DvfsConfig& config);
 
 /// Cache key, same contract as canonical_config_key: equal keys produce

@@ -283,97 +283,49 @@ void worker_loop(const std::shared_ptr<EngineState>& state) {
 
 namespace {
 
-[[noreturn]] void throw_invalid_handle(const char* cls,
-                                         const char* method) {
-  throw std::logic_error(std::string(cls) + "::" + method +
-                         "() on a default-constructed (invalid) handle; "
-                         "obtain handles from the ExperimentEngine submit "
-                         "methods");
-}
-
-// Shared bodies for the handle types (the public classes stay concrete;
-// only the implementations are generic).
-const ScenarioResult& handle_get(
-    const std::shared_ptr<detail::ScenarioJob>& job, const char* cls) {
-  if (!job) throw_invalid_handle(cls, "get");
-  detail::ScenarioJob& j = *job;
-  MutexLock lock(j.mutex);
-  while (!j.done) j.cv.wait(j.mutex);
-  if (j.error) std::rethrow_exception(j.error);
-  // Returning a reference past the critical section is safe: once `done`
-  // is published the result is frozen — finish_job never touches it
-  // again, and the job object outlives every handle.
-  return j.result;
-}
-
-bool handle_ready(const std::shared_ptr<detail::ScenarioJob>& job,
-                  const char* cls) {
-  if (!job) throw_invalid_handle(cls, "ready");
-  MutexLock lock(job->mutex);
-  return job->done;
-}
-
-const ScenarioConfig& handle_config(
-    const std::shared_ptr<detail::ScenarioJob>& job, const char* cls) {
-  if (!job) throw_invalid_handle(cls, "config");
-  return job->config;
+/// The invalid-handle check every ScenarioHandle accessor starts with.
+const detail::ScenarioJob& checked_job(
+    const std::shared_ptr<detail::ScenarioJob>& job, const char* method) {
+  if (!job) {
+    throw std::logic_error(std::string("ScenarioHandle::") + method +
+                           "() on a default-constructed (invalid) handle; "
+                           "obtain handles from ExperimentEngine::submit");
+  }
+  return *job;
 }
 
 }  // namespace
 
 const ScenarioResult& ScenarioHandle::get() const {
-  return handle_get(job_, "ScenarioHandle");
+  const detail::ScenarioJob& job = checked_job(job_, "get");
+  MutexLock lock(job.mutex);
+  while (!job.done) job.cv.wait(job.mutex);
+  if (job.error) std::rethrow_exception(job.error);
+  // Returning a reference past the critical section is safe: once `done`
+  // is published the result is frozen — finish_job never touches it
+  // again, and the job object outlives every handle.
+  return job.result;
 }
 
 bool ScenarioHandle::ready() const {
-  return handle_ready(job_, "ScenarioHandle");
+  const detail::ScenarioJob& job = checked_job(job_, "ready");
+  MutexLock lock(job.mutex);
+  return job.done;
 }
 
 const ScenarioConfig& ScenarioHandle::config() const {
-  return handle_config(job_, "ScenarioHandle");
+  return checked_job(job_, "config").config;
 }
 
 ScenarioKind ScenarioHandle::kind() const {
-  return handle_config(job_, "ScenarioHandle").kind();
-}
-
-const ExperimentResult& ExperimentHandle::get() const {
-  return handle_get(job_, "ExperimentHandle").static_result();
-}
-
-bool ExperimentHandle::ready() const {
-  return handle_ready(job_, "ExperimentHandle");
-}
-
-const ExperimentConfig& ExperimentHandle::config() const {
-  return handle_config(job_, "ExperimentHandle").static_config();
-}
-
-const DvfsResult& DvfsHandle::get() const {
-  return handle_get(job_, "DvfsHandle").dvfs();
-}
-
-bool DvfsHandle::ready() const { return handle_ready(job_, "DvfsHandle"); }
-
-const DvfsConfig& DvfsHandle::config() const {
-  return handle_config(job_, "DvfsHandle").dvfs();
-}
-
-const FleetResult& FleetHandle::get() const {
-  return handle_get(job_, "FleetHandle").fleet();
-}
-
-bool FleetHandle::ready() const { return handle_ready(job_, "FleetHandle"); }
-
-const FleetConfig& FleetHandle::config() const {
-  return handle_config(job_, "FleetHandle").fleet();
+  return checked_job(job_, "kind").config.kind();
 }
 
 std::vector<SweepEntry> SweepRun::collect() const {
   std::vector<SweepEntry> entries;
   entries.reserve(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
-    entries.push_back({points[i], handles[i].get()});
+    entries.push_back({points[i], handles[i].get().static_result()});
   }
   return entries;
 }
@@ -411,14 +363,14 @@ ExperimentEngine::~ExperimentEngine() {
   for (std::thread& thread : state_->threads) thread.join();
 }
 
-/// The one submit path every family funnels through: validate through the
-/// kind's registry hook, consult memory cache -> store -> compute, then
-/// fan the seed replicas out as queue tasks.  The canonical key is only
-/// computed when the cache is enabled (key serialisation is not free — a
-/// DVFS key spells out every timeline phase); the store is only consulted
-/// when the cache is (a cache-less engine recomputes by contract).
-std::shared_ptr<detail::ScenarioJob> ExperimentEngine::submit_job(
-    ScenarioConfig config, SubmitOutcome* outcome) {
+/// The one submit path: validate through the kind's registry hook,
+/// consult memory cache -> store -> compute, then fan the seed replicas
+/// out as queue tasks.  The canonical key is only computed when the cache
+/// is enabled (key serialisation is not free — a DVFS key spells out every
+/// timeline phase); the store is only consulted when the cache is (a
+/// cache-less engine recomputes by contract).
+ScenarioHandle ExperimentEngine::submit(ScenarioConfig config,
+                                        SubmitOutcome* outcome) {
   obs::Span submit_span("engine.submit");
   if (outcome != nullptr) *outcome = SubmitOutcome::kComputed;
   const ScenarioKindInfo& info = scenario_kind_info(config.kind());
@@ -462,7 +414,7 @@ std::shared_ptr<detail::ScenarioJob> ExperimentEngine::submit_job(
       if (it != state.cache.end()) {
         ++state.kind_stats[kind_index].cache_hits;
         if (outcome != nullptr) *outcome = SubmitOutcome::kCacheHit;
-        return it->second;
+        return ScenarioHandle(it->second);
       }
     }
   }
@@ -499,11 +451,11 @@ std::shared_ptr<detail::ScenarioJob> ExperimentEngine::submit_job(
       if (!inserted) {
         ++state.kind_stats[kind_index].cache_hits;
         if (outcome != nullptr) *outcome = SubmitOutcome::kCacheHit;
-        return it->second;
+        return ScenarioHandle(it->second);
       }
       ++state.kind_stats[kind_index].store_hits;
       if (outcome != nullptr) *outcome = SubmitOutcome::kStoreHit;
-      return job;
+      return ScenarioHandle(job);
     }
   }
 
@@ -514,7 +466,7 @@ std::shared_ptr<detail::ScenarioJob> ExperimentEngine::submit_job(
       if (!inserted) {
         ++state.kind_stats[kind_index].cache_hits;
         if (outcome != nullptr) *outcome = SubmitOutcome::kCacheHit;
-        return it->second;
+        return ScenarioHandle(it->second);
       }
     }
     ++state.kind_stats[kind_index].jobs_computed;
@@ -540,40 +492,7 @@ std::shared_ptr<detail::ScenarioJob> ExperimentEngine::submit_job(
     }
   }
   state.queue_cv.notify_all();
-  return job;
-}
-
-ScenarioHandle ExperimentEngine::submit(ScenarioConfig config) {
-  return ScenarioHandle(submit_job(std::move(config), nullptr));
-}
-
-ScenarioHandle ExperimentEngine::submit(ScenarioConfig config,
-                                        SubmitOutcome* outcome) {
-  return ScenarioHandle(submit_job(std::move(config), outcome));
-}
-
-std::vector<ScenarioHandle> ExperimentEngine::submit_batch(
-    const std::vector<ScenarioConfig>& configs) {
-  std::vector<ScenarioHandle> handles;
-  handles.reserve(configs.size());
-  for (const ScenarioConfig& config : configs) {
-    handles.push_back(submit(config));
-  }
-  return handles;
-}
-
-ExperimentHandle ExperimentEngine::submit(const ExperimentConfig& config) {
-  return ExperimentHandle(submit_job(ScenarioConfig(config), nullptr));
-}
-
-std::vector<ExperimentHandle> ExperimentEngine::submit_batch(
-    const std::vector<ExperimentConfig>& configs) {
-  std::vector<ExperimentHandle> handles;
-  handles.reserve(configs.size());
-  for (const ExperimentConfig& config : configs) {
-    handles.push_back(submit(config));
-  }
-  return handles;
+  return ScenarioHandle(job);
 }
 
 SweepRun ExperimentEngine::submit_sweep(FigureId id,
@@ -586,37 +505,9 @@ SweepRun ExperimentEngine::submit_sweep(FigureId id,
   for (const SweepPoint& point : run.points) {
     ExperimentConfig config = base;
     config.pattern = point.spec;
-    run.handles.push_back(submit(config));
+    run.handles.push_back(submit(std::move(config)));
   }
   return run;
-}
-
-DvfsHandle ExperimentEngine::submit_dvfs(const DvfsConfig& config) {
-  return DvfsHandle(submit_job(ScenarioConfig(config), nullptr));
-}
-
-std::vector<DvfsHandle> ExperimentEngine::submit_dvfs_batch(
-    const std::vector<DvfsConfig>& configs) {
-  std::vector<DvfsHandle> handles;
-  handles.reserve(configs.size());
-  for (const DvfsConfig& config : configs) {
-    handles.push_back(submit_dvfs(config));
-  }
-  return handles;
-}
-
-FleetHandle ExperimentEngine::submit_fleet(const FleetConfig& config) {
-  return FleetHandle(submit_job(ScenarioConfig(config), nullptr));
-}
-
-std::vector<FleetHandle> ExperimentEngine::submit_fleet_batch(
-    const std::vector<FleetConfig>& configs) {
-  std::vector<FleetHandle> handles;
-  handles.reserve(configs.size());
-  for (const FleetConfig& config : configs) {
-    handles.push_back(submit_fleet(config));
-  }
-  return handles;
 }
 
 void ExperimentEngine::wait_all() {

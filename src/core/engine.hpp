@@ -4,22 +4,22 @@
 // datatypes x sweep points x 10 seeds in the paper's full protocol).
 //
 // Every submission — classic static experiment, DVFS timeline replay,
-// power-capped fleet — goes through ONE type-erased entry point:
+// power-capped fleet — goes through ONE type-erased entry point
+// (ScenarioConfig converts implicitly from each kind's config):
 //
 //   ExperimentEngine engine;                       // worker pool sized to HW
-//   auto any   = engine.submit(ScenarioConfig(fleet_config));  // any kind
-//   auto handle = engine.submit(config);           // typed wrapper, same path
-//   auto sweep  = engine.submit_sweep(FigureId::kFig6aSparsity, base);
+//   const ScenarioHandle fleet = engine.submit(fleet_config);
+//   const ScenarioHandle point = engine.submit(experiment_config);
+//   auto sweep = engine.submit_sweep(FigureId::kFig6aSparsity, base);
 //   engine.wait_all();
-//   const FleetResult& f = any.get().fleet();
-//   const ExperimentResult& r = handle.get();      // blocks if still running
+//   const FleetResult& f = fleet.get().fleet();    // blocks if still running
+//   const ExperimentResult& r = point.get().static_result();
 //   auto entries = sweep.collect();                // [SweepPoint, Result]...
 //
-// The typed submit/submit_dvfs/submit_fleet families are thin wrappers over
-// submit(ScenarioConfig) — same cache, same replica pool, same seed-order
-// reduction — so they are bit-identical to the type-erased path by
-// construction.  New scenario kinds plug in through the registry in
-// core/scenario.hpp without touching the engine.
+// Bind the handle before taking a result reference: the reference lives
+// as long as some handle to the job does, and a cache-less engine keeps
+// no handle of its own.  New scenario kinds plug in through the registry
+// in core/scenario.hpp without touching the engine.
 //
 // Guarantees:
 //  - Results are bit-identical to the serial reference paths: seed replicas
@@ -116,14 +116,11 @@ struct EngineStats : EngineKindStats {
   [[nodiscard]] const EngineKindStats& of(ScenarioKind kind) const noexcept {
     return by_kind[static_cast<std::size_t>(kind)];
   }
-  [[nodiscard]] std::uint64_t cache_misses() const noexcept {
-    return submitted - cache_hits;
-  }
 };
 
 /// Lightweight, copyable reference to any submitted scenario.  Handles to
 /// the same (cached) config share the underlying job and result.  Calling
-/// get()/ready()/config() on a default-constructed handle throws
+/// get()/ready()/config()/kind() on a default-constructed handle throws
 /// std::logic_error (check valid() first).
 class ScenarioHandle {
  public:
@@ -142,68 +139,7 @@ class ScenarioHandle {
 
  private:
   friend class ExperimentEngine;
-  friend class ExperimentHandle;
-  friend class DvfsHandle;
-  friend class FleetHandle;
   explicit ScenarioHandle(std::shared_ptr<detail::ScenarioJob> job)
-      : job_(std::move(job)) {}
-
-  std::shared_ptr<detail::ScenarioJob> job_;
-};
-
-/// Typed view of a static-experiment job — a thin wrapper over the shared
-/// type-erased job (same cache entry, same result storage).
-class ExperimentHandle {
- public:
-  ExperimentHandle() = default;
-
-  /// Blocks until the experiment finishes; rethrows any worker exception.
-  [[nodiscard]] const ExperimentResult& get() const;
-  [[nodiscard]] bool ready() const;
-  [[nodiscard]] const ExperimentConfig& config() const;
-  [[nodiscard]] bool valid() const noexcept { return job_ != nullptr; }
-
- private:
-  friend class ExperimentEngine;
-  explicit ExperimentHandle(std::shared_ptr<detail::ScenarioJob> job)
-      : job_(std::move(job)) {}
-
-  std::shared_ptr<detail::ScenarioJob> job_;
-};
-
-/// Typed view of a DVFS timeline job — same semantics as ExperimentHandle.
-class DvfsHandle {
- public:
-  DvfsHandle() = default;
-
-  /// Blocks until the replay finishes; rethrows any worker exception.
-  [[nodiscard]] const DvfsResult& get() const;
-  [[nodiscard]] bool ready() const;
-  [[nodiscard]] const DvfsConfig& config() const;
-  [[nodiscard]] bool valid() const noexcept { return job_ != nullptr; }
-
- private:
-  friend class ExperimentEngine;
-  explicit DvfsHandle(std::shared_ptr<detail::ScenarioJob> job)
-      : job_(std::move(job)) {}
-
-  std::shared_ptr<detail::ScenarioJob> job_;
-};
-
-/// Typed view of a fleet job — same semantics as the other handles.
-class FleetHandle {
- public:
-  FleetHandle() = default;
-
-  /// Blocks until the fleet replay finishes; rethrows any worker exception.
-  [[nodiscard]] const FleetResult& get() const;
-  [[nodiscard]] bool ready() const;
-  [[nodiscard]] const FleetConfig& config() const;
-  [[nodiscard]] bool valid() const noexcept { return job_ != nullptr; }
-
- private:
-  friend class ExperimentEngine;
-  explicit FleetHandle(std::shared_ptr<detail::ScenarioJob> job)
       : job_(std::move(job)) {}
 
   std::shared_ptr<detail::ScenarioJob> job_;
@@ -214,7 +150,7 @@ struct SweepRun {
   FigureId figure{};
   ExperimentConfig base;          ///< shared scalars (pattern varies per point)
   std::vector<SweepPoint> points;
-  std::vector<ExperimentHandle> handles;
+  std::vector<ScenarioHandle> handles;
 
   /// Blocks until every point finishes; pairs each with its sweep point.
   [[nodiscard]] std::vector<SweepEntry> collect() const;
@@ -231,57 +167,30 @@ class ExperimentEngine {
   ExperimentEngine(const ExperimentEngine&) = delete;
   ExperimentEngine& operator=(const ExperimentEngine&) = delete;
 
-  /// How a submit was satisfied — reported through the out-param overload
-  /// below so a caller (serve's per-session accounting) can attribute
+  /// How a submit was satisfied — reported through submit's optional
+  /// out-param so a caller (serve's per-session accounting) can attribute
   /// dedup/store traffic per client without diffing racy engine-wide
   /// stats snapshots.
   enum class SubmitOutcome {
-    kComputed,  ///< scheduled fresh replica work (or joined its in-flight job)
-    kCacheHit,  ///< served by an already-cached job, nothing scheduled
+    kComputed,  ///< scheduled fresh replica work
+    kCacheHit,  ///< joined an in-flight or completed job, nothing scheduled
     kStoreHit,  ///< loaded from the persistent store, nothing scheduled
   };
 
   /// The one submission entry point: enqueues any scenario kind (never
   /// blocks).  Identical configs — by canonical_scenario_key — share one
-  /// computation and one result.  Throws std::invalid_argument when the
-  /// kind's validator rejects the config (zero seeds, empty timeline,
-  /// dangling cross-references, ...).
-  ScenarioHandle submit(ScenarioConfig config);
-
-  /// As above, reporting how the submit was satisfied (outcome may be
-  /// nullptr).
-  ScenarioHandle submit(ScenarioConfig config, SubmitOutcome* outcome);
-
-  /// Enqueues a batch of scenarios; handles are in input order.
-  std::vector<ScenarioHandle> submit_batch(
-      const std::vector<ScenarioConfig>& configs);
-
-  /// Typed wrapper over submit(ScenarioConfig) for classic experiments.
-  ExperimentHandle submit(const ExperimentConfig& config);
-
-  /// Enqueues a batch; handles are in input order.
-  std::vector<ExperimentHandle> submit_batch(
-      const std::vector<ExperimentConfig>& configs);
+  /// computation and one result.  Reports how the submit was satisfied
+  /// through `outcome` when it is non-null.  Throws std::invalid_argument
+  /// when the kind's validator rejects the config (zero seeds, empty
+  /// timeline, dangling cross-references, ...).
+  ScenarioHandle submit(ScenarioConfig config,
+                        SubmitOutcome* outcome = nullptr);
 
   /// Enqueues every sweep point of a paper figure.  `base` supplies the
   /// scalars (gpu, dtype, n, seeds, sampling...); each point's PatternSpec
   /// overrides `base.pattern`.  (Campaign specs — core/spec.hpp — are the
   /// generic grid form of this.)
   SweepRun submit_sweep(FigureId id, const ExperimentConfig& base);
-
-  /// Typed wrapper over submit(ScenarioConfig) for DVFS timeline replays.
-  DvfsHandle submit_dvfs(const DvfsConfig& config);
-
-  /// Enqueues a batch of DVFS experiments; handles are in input order.
-  std::vector<DvfsHandle> submit_dvfs_batch(
-      const std::vector<DvfsConfig>& configs);
-
-  /// Typed wrapper over submit(ScenarioConfig) for fleet experiments.
-  FleetHandle submit_fleet(const FleetConfig& config);
-
-  /// Enqueues a batch of fleet experiments; handles are in input order.
-  std::vector<FleetHandle> submit_fleet_batch(
-      const std::vector<FleetConfig>& configs);
 
   /// Blocks until every outstanding job has finished.
   void wait_all();
@@ -301,9 +210,6 @@ class ExperimentEngine {
   void clear_cache();
 
  private:
-  std::shared_ptr<detail::ScenarioJob> submit_job(ScenarioConfig config,
-                                                  SubmitOutcome* outcome);
-
   std::shared_ptr<detail::EngineState> state_;
 };
 

@@ -101,9 +101,11 @@ decltype(auto) with_storage_type(gpupower::numeric::DType dtype, F&& f) {
 
 /// Runs one experiment configuration (all seed replicas), serially.
 ///
-/// Deprecated: prefer `ExperimentEngine::submit` (core/engine.hpp), which
-/// batches, caches, and parallelises while staying bit-identical to this
-/// path.  Kept as the single-call serial reference implementation.
+/// The serial reference implementation: test_engine, test_spec,
+/// test_experiment and test_takeaways compare ExperimentEngine::submit
+/// (core/engine.hpp) against it, and the engine must stay bit-identical
+/// to it.  Use the engine for anything sweep-shaped — it batches, caches
+/// and parallelises.
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config);
 
 }  // namespace gpupower::core

@@ -12,8 +12,8 @@
 // them.
 //
 // A fleet of one device with an infinite cap and the thermal model off is
-// bit-identical to the single-device DVFS pipeline (submit_dvfs) — pinned
-// by the equivalence suite.
+// bit-identical to the single-device DVFS pipeline (run_dvfs) — pinned by
+// the equivalence suite.
 #pragma once
 
 #include <span>
@@ -111,7 +111,7 @@ struct FleetResult {
     std::span<const gpupower::gpusim::fleet::FleetRun> replicas);
 
 /// Serial reference: all seed replicas in order.  Prefer
-/// ExperimentEngine::submit_fleet for anything sweep-shaped.
+/// ExperimentEngine::submit (core/engine.hpp) for anything sweep-shaped.
 [[nodiscard]] FleetResult run_fleet(const FleetConfig& config);
 
 /// Cache key, same contract as canonical_config_key: equal keys produce
@@ -122,7 +122,7 @@ struct FleetResult {
 /// (devices present, timeline indices in range, phase-pattern references
 /// resolvable, slice/cap/pstates in range).  Returns an empty string when
 /// valid, else the first problem — shared by run_fleet_seed_replica and
-/// ExperimentEngine::submit_fleet.
+/// the fleet kind's validate hook (ExperimentEngine::submit).
 [[nodiscard]] std::string validate_fleet_config(const FleetConfig& config);
 
 }  // namespace gpupower::core

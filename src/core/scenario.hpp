@@ -1,17 +1,11 @@
 // ScenarioConfig: the type-erased submission unit of the experiment engine.
-// The engine grew three parallel families — classic static experiments,
-// DVFS timeline replays, and power-capped fleets — each with its own
-// handle, cache key, validator, and JSON exporter.  A ScenarioConfig wraps
-// any of them behind one type, and a registry of ScenarioKindInfo
-// descriptors carries the per-kind hooks (validate, canonical cache key,
-// per-seed replica runner, in-seed-order reduction, JSON export), so the
-// engine, the spec front end (core/spec.hpp), and the CLI dispatch through
-// exactly one code path.  Adding a scenario kind means adding one variant
+// It wraps any scenario kind — classic static experiments, DVFS timeline
+// replays, and power-capped fleets — behind one type, and a registry of
+// ScenarioKindInfo descriptors carries the per-kind hooks (validate,
+// canonical cache key, per-seed replica runner, in-seed-order reduction,
+// JSON export), so the engine, the spec front end (core/spec.hpp), and the
+// CLI dispatch through exactly one code path.  Adding a scenario kind means adding one variant
 // alternative and one descriptor row — not re-plumbing seven layers.
-//
-// The typed submit_* families remain as thin wrappers over the type-erased
-// path, bit-identical by construction: same worker pool, same cache, same
-// seed-order reduction.
 #pragma once
 
 #include <span>
@@ -45,8 +39,8 @@ inline constexpr std::size_t kScenarioKindCount = 3;
                                        ScenarioKind& out) noexcept;
 
 /// One submission of any scenario kind.  Implicitly constructible from the
-/// typed configs so existing call sites read naturally:
-///   engine.submit(ScenarioConfig(fleet_config));
+/// typed configs so call sites read naturally:
+///   engine.submit(fleet_config);
 class ScenarioConfig {
  public:
   /// Defaults to a static experiment with ExperimentConfig defaults.

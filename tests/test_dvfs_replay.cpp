@@ -241,16 +241,16 @@ TEST(DvfsReplay, EngineReplayIsDeterministicAcrossWorkerCounts) {
     core::EngineOptions options;
     options.workers = workers;
     core::ExperimentEngine engine(options);
-    const core::DvfsHandle handle = engine.submit_dvfs(config);
-    expect_identical(serial, handle.get());
+    const core::ScenarioHandle handle = engine.submit(config);
+    expect_identical(serial, handle.get().dvfs());
   }
 }
 
 TEST(DvfsReplay, EngineCachesIdenticalSubmissions) {
   core::ExperimentEngine engine(core::EngineOptions::with_workers(2));
   const DvfsConfig config = small_dvfs_config();
-  const core::DvfsHandle first = engine.submit_dvfs(config);
-  const core::DvfsHandle second = engine.submit_dvfs(config);
+  const core::ScenarioHandle first = engine.submit(config);
+  const core::ScenarioHandle second = engine.submit(config);
   engine.wait_all();
   EXPECT_EQ(engine.stats().cache_hits, 1u);
   EXPECT_EQ(&first.get(), &second.get());
@@ -258,7 +258,7 @@ TEST(DvfsReplay, EngineCachesIdenticalSubmissions) {
   // A different governor is a different job.
   DvfsConfig oracle = config;
   oracle.governor.policy = GovernorConfig::Policy::kOracle;
-  (void)engine.submit_dvfs(oracle);
+  (void)engine.submit(oracle);
   engine.wait_all();
   EXPECT_EQ(engine.stats().jobs_computed, 2u);
 }
@@ -279,13 +279,13 @@ TEST(DvfsReplay, EngineRejectsDegenerateConfigs) {
   core::ExperimentEngine engine(core::EngineOptions::with_workers(1));
   DvfsConfig config = small_dvfs_config();
   config.experiment.seeds = 0;
-  EXPECT_THROW((void)engine.submit_dvfs(config), std::invalid_argument);
+  EXPECT_THROW((void)engine.submit(config), std::invalid_argument);
   config = small_dvfs_config();
   config.slice_s = 0.0;
-  EXPECT_THROW((void)engine.submit_dvfs(config), std::invalid_argument);
+  EXPECT_THROW((void)engine.submit(config), std::invalid_argument);
   config = small_dvfs_config();
   config.timeline = WorkloadTimeline{};
-  EXPECT_THROW((void)engine.submit_dvfs(config), std::invalid_argument);
+  EXPECT_THROW((void)engine.submit(config), std::invalid_argument);
 }
 
 // --- utilization-trace round trip -----------------------------------------

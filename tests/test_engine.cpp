@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/config_builder.hpp"
 #include "core/figures.hpp"
+#include "core/store/result_store.hpp"
 
 namespace gpupower::core {
 namespace {
@@ -61,7 +65,7 @@ TEST(ExperimentEngine, FullFigureSweepMatchesSerialBitwise) {
     ExperimentConfig config = base;
     config.pattern = points[i].spec;
     const ExperimentResult serial = run_experiment(config);
-    expect_identical(run.handles[i].get(), serial);
+    expect_identical(run.handles[i].get().static_result(), serial);
   }
 }
 
@@ -71,7 +75,8 @@ TEST(ExperimentEngine, ManySeedsMatchSerialBitwise) {
   ExperimentEngine engine(four_workers());
   ExperimentConfig config = small_config();
   config.seeds = 7;
-  const ExperimentResult parallel = engine.submit(config).get();
+  const ExperimentResult parallel =
+      engine.submit(config).get().static_result();
   expect_identical(parallel, run_experiment(config));
 }
 
@@ -81,8 +86,8 @@ TEST(ExperimentEngine, WorkerCountDoesNotChangeResults) {
   ExperimentEngine serial_engine(one);
   ExperimentEngine parallel_engine(four_workers());
   const ExperimentConfig config = small_config();
-  expect_identical(serial_engine.submit(config).get(),
-                   parallel_engine.submit(config).get());
+  expect_identical(serial_engine.submit(config).get().static_result(),
+                   parallel_engine.submit(config).get().static_result());
 }
 
 // The acceptance criterion: resubmitting the same sweep point reports a
@@ -91,13 +96,14 @@ TEST(ExperimentEngine, DuplicateSubmitHitsCache) {
   ExperimentEngine engine(four_workers());
   const ExperimentConfig config = small_config();
 
-  const ExperimentHandle first = engine.submit(config);
-  const ExperimentHandle second = engine.submit(config);
+  const ScenarioHandle first = engine.submit(config);
+  const ScenarioHandle second = engine.submit(config);
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.submitted, 2u);
   EXPECT_EQ(stats.jobs_computed, 1u);
   EXPECT_GE(stats.cache_hits, 1u);
-  expect_identical(first.get(), second.get());
+  expect_identical(first.get().static_result(),
+                   second.get().static_result());
 }
 
 TEST(ExperimentEngine, DuplicatedSweepIsComputedOnce) {
@@ -113,7 +119,8 @@ TEST(ExperimentEngine, DuplicatedSweepIsComputedOnce) {
   EXPECT_EQ(stats.jobs_computed, first.points.size());
   EXPECT_EQ(stats.cache_hits, second.points.size());
   for (std::size_t i = 0; i < first.points.size(); ++i) {
-    expect_identical(first.handles[i].get(), second.handles[i].get());
+    expect_identical(first.handles[i].get().static_result(),
+                     second.handles[i].get().static_result());
   }
 }
 
@@ -140,51 +147,109 @@ TEST(ExperimentEngine, CacheCanBeDisabled) {
   options.cache_enabled = false;
   ExperimentEngine engine(options);
   const ExperimentConfig config = small_config();
-  const ExperimentHandle first = engine.submit(config);
-  const ExperimentHandle second = engine.submit(config);
+  const ScenarioHandle first = engine.submit(config);
+  const ScenarioHandle second = engine.submit(config);
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.jobs_computed, 2u);
   EXPECT_EQ(stats.cache_hits, 0u);
   // Still bit-identical: independent computations of the same config.
-  expect_identical(first.get(), second.get());
+  expect_identical(first.get().static_result(),
+                   second.get().static_result());
 }
 
 TEST(ExperimentEngine, ClearCacheForcesRecompute) {
   ExperimentEngine engine(four_workers());
   const ExperimentConfig config = small_config();
-  const ExperimentHandle first = engine.submit(config);
+  const ScenarioHandle first = engine.submit(config);
   engine.clear_cache();
-  const ExperimentHandle second = engine.submit(config);
+  const ScenarioHandle second = engine.submit(config);
   EXPECT_EQ(engine.stats().jobs_computed, 2u);
-  expect_identical(first.get(), second.get());
+  expect_identical(first.get().static_result(),
+                   second.get().static_result());
 }
 
 TEST(ExperimentEngine, WaitAllCompletesEverything) {
   ExperimentEngine engine(four_workers());
-  std::vector<ExperimentHandle> handles;
+  std::vector<ScenarioHandle> handles;
   for (const auto dtype : gpupower::numeric::kAllDTypes) {
     handles.push_back(engine.submit(small_config(dtype)));
   }
   engine.wait_all();
   for (const auto& handle : handles) {
     EXPECT_TRUE(handle.ready());
-    EXPECT_GT(handle.get().power_w, 0.0);
+    EXPECT_GT(handle.get().static_result().power_w, 0.0);
   }
   EXPECT_EQ(engine.stats().replicas_run, 4u * 2u);
 }
 
-TEST(ExperimentEngine, SubmitBatchPreservesOrder) {
+TEST(ExperimentEngine, HandlesKeepTheirSubmittedConfig) {
   ExperimentEngine engine(four_workers());
   std::vector<ExperimentConfig> configs;
+  std::vector<ScenarioHandle> handles;
   for (const auto dtype : gpupower::numeric::kAllDTypes) {
     configs.push_back(small_config(dtype));
+    handles.push_back(engine.submit(configs.back()));
   }
-  const auto handles = engine.submit_batch(configs);
-  ASSERT_EQ(handles.size(), configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    EXPECT_EQ(handles[i].config().dtype, configs[i].dtype);
-    expect_identical(handles[i].get(), run_experiment(configs[i]));
+    EXPECT_EQ(handles[i].kind(), ScenarioKind::kStatic);
+    EXPECT_EQ(handles[i].config().static_config().dtype, configs[i].dtype);
+    expect_identical(handles[i].get().static_result(),
+                     run_experiment(configs[i]));
   }
+}
+
+// Every SubmitOutcome value, from the submit that produced it: a fresh
+// config computes; a duplicate of an in-flight or completed job joins it;
+// a warm store serves it; a cache-less engine always computes.
+TEST(ExperimentEngine, SubmitOutcomeReportsHowEachSubmitWasServed) {
+  using Outcome = ExperimentEngine::SubmitOutcome;
+  const ExperimentConfig config = small_config();
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("gpupower_test_outcome_" +
+       std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+  std::filesystem::remove_all(dir);
+  StoreOptions store_options;
+  store_options.dir = dir.string();
+  EngineOptions stored = EngineOptions::with_workers(1);
+  stored.store = std::make_shared<ResultStore>(store_options);
+  {
+    ExperimentEngine engine(stored);
+    // The sole worker is busy with `blocker`, so `config`'s job is still
+    // queued when its duplicate arrives.
+    ExperimentConfig blocker = small_config();
+    blocker.n = 256;
+    blocker.seeds = 4;
+    (void)engine.submit(blocker);
+    Outcome fresh = Outcome::kStoreHit;
+    Outcome in_flight = Outcome::kComputed;
+    Outcome completed = Outcome::kComputed;
+    const ScenarioHandle first = engine.submit(config, &fresh);
+    (void)engine.submit(config, &in_flight);
+    (void)first.get();
+    (void)engine.submit(config, &completed);
+    EXPECT_EQ(fresh, Outcome::kComputed);
+    EXPECT_EQ(in_flight, Outcome::kCacheHit);
+    EXPECT_EQ(completed, Outcome::kCacheHit);
+  }
+  {
+    ExperimentEngine warm(stored);
+    Outcome outcome = Outcome::kComputed;
+    (void)warm.submit(config, &outcome);
+    EXPECT_EQ(outcome, Outcome::kStoreHit);
+    EXPECT_EQ(warm.stats().jobs_computed, 0u);
+  }
+  {
+    EngineOptions cacheless = stored;
+    cacheless.cache_enabled = false;
+    ExperimentEngine engine(cacheless);
+    for (int i = 0; i < 2; ++i) {
+      Outcome outcome = Outcome::kCacheHit;
+      (void)engine.submit(config, &outcome);
+      EXPECT_EQ(outcome, Outcome::kComputed);
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ExperimentEngine, SweepRunCollectPairsPointsWithResults) {
@@ -221,29 +286,30 @@ TEST(ExperimentEngine, RejectsZeroSeedConfig) {
   engine.wait_all();  // nothing outstanding; must not hang
 }
 
-TEST(ExperimentHandle, InvalidHandleThrowsInsteadOfUB) {
-  // A default-constructed handle has no job; get()/ready()/config() used to
-  // dereference null.
-  ExperimentHandle handle;
+TEST(ScenarioHandle, InvalidHandleThrowsInsteadOfUB) {
+  // A default-constructed handle has no job; its accessors must throw
+  // rather than dereference null.
+  ScenarioHandle handle;
   EXPECT_FALSE(handle.valid());
   EXPECT_THROW((void)handle.get(), std::logic_error);
   EXPECT_THROW((void)handle.ready(), std::logic_error);
   EXPECT_THROW((void)handle.config(), std::logic_error);
+  EXPECT_THROW((void)handle.kind(), std::logic_error);
 
   // A real handle stays valid after copies.
   ExperimentEngine engine(four_workers());
-  const ExperimentHandle live = engine.submit(small_config());
-  const ExperimentHandle copy = live;
+  const ScenarioHandle live = engine.submit(small_config());
+  const ScenarioHandle copy = live;
   engine.wait_all();
   EXPECT_TRUE(copy.valid());
   EXPECT_TRUE(copy.ready());
-  EXPECT_GT(copy.get().power_w, 0.0);
+  EXPECT_GT(copy.get().static_result().power_w, 0.0);
 }
 
 TEST(ExperimentEngine, EngineOutlivesManySubmissions) {
   // Stress the queue with more jobs than workers to exercise interleaving.
   ExperimentEngine engine(four_workers());
-  std::vector<ExperimentHandle> handles;
+  std::vector<ScenarioHandle> handles;
   for (int i = 0; i < 12; ++i) {
     ExperimentConfig config = small_config();
     config.base_seed = static_cast<std::uint64_t>(i);

@@ -1,8 +1,8 @@
 // Fleet power-capping suite: allocator conservation (sum of grants <= cap
 // on every slice), the RC thermal model (heat-up/cool-down monotonicity,
 // throttle hysteresis without flapping), the single-device equivalence
-// guarantee (fleet of one, infinite cap, thermal off == submit_dvfs bit
-// for bit), determinism through the engine at different worker counts, and
+// guarantee (fleet of one, infinite cap, thermal off == the DVFS replay
+// bit for bit), determinism through the engine at different worker counts, and
 // the capped-fleet behaviours the fig_fleet_capping bench sweeps.
 #include "gpusim/fleet/fleet.hpp"
 
@@ -272,13 +272,15 @@ TEST(Fleet, SingleDeviceInfiniteCapThermalOffMatchesDvfsBitForBit) {
 TEST(Fleet, EngineSubmitFleetMatchesSubmitDvfsInTheDegenerateCase) {
   const DvfsConfig dvfs_config = small_dvfs_config();
   core::ExperimentEngine engine(core::EngineOptions::with_workers(2));
-  const core::DvfsHandle dvfs_handle = engine.submit_dvfs(dvfs_config);
-  const core::FleetHandle fleet_handle =
-      engine.submit_fleet(fleet_of_one(dvfs_config));
+  const core::ScenarioHandle dvfs_handle =
+      engine.submit(core::ScenarioConfig(dvfs_config));
+  const core::ScenarioHandle fleet_handle =
+      engine.submit(core::ScenarioConfig(fleet_of_one(dvfs_config)));
   engine.wait_all();
-  EXPECT_EQ(fleet_handle.get().energy_j, dvfs_handle.get().energy_j);
-  expect_identical_replays(fleet_handle.get().trace.devices[0].replay,
-                           dvfs_handle.get().trace);
+  const core::DvfsResult& dvfs = dvfs_handle.get().dvfs();
+  const FleetResult& fleet = fleet_handle.get().fleet();
+  EXPECT_EQ(fleet.energy_j, dvfs.energy_j);
+  expect_identical_replays(fleet.trace.devices[0].replay, dvfs.trace);
 }
 
 // --- determinism through the engine ---------------------------------------
@@ -298,7 +300,8 @@ TEST(Fleet, EngineReplayIsDeterministicAcrossWorkerCounts) {
     core::EngineOptions options;
     options.workers = workers;
     core::ExperimentEngine engine(options);
-    const FleetResult& parallel = engine.submit_fleet(config).get();
+    const core::ScenarioHandle handle = engine.submit(config);
+    const FleetResult& parallel = handle.get().fleet();
     EXPECT_EQ(serial.energy_j, parallel.energy_j);
     EXPECT_EQ(serial.energy_std_j, parallel.energy_std_j);
     EXPECT_EQ(serial.completion_s, parallel.completion_s);
@@ -326,18 +329,18 @@ TEST(Fleet, EngineCachesIdenticalSubmissionsAndSeparatesAllocators) {
   core::ExperimentEngine engine(core::EngineOptions::with_workers(2));
   FleetConfig config = small_fleet_config();
   config.allocator.cap_w = 250.0;
-  const core::FleetHandle first = engine.submit_fleet(config);
-  const core::FleetHandle second = engine.submit_fleet(config);
+  const core::ScenarioHandle first = engine.submit(config);
+  const core::ScenarioHandle second = engine.submit(config);
   engine.wait_all();
   EXPECT_EQ(engine.stats().cache_hits, 1u);
   EXPECT_EQ(&first.get(), &second.get());
 
   FleetConfig uniform = config;
   uniform.allocator.policy = AllocatorConfig::Policy::kUniform;
-  (void)engine.submit_fleet(uniform);
+  (void)engine.submit(uniform);
   FleetConfig hotter = config;
   hotter.thermal = test_thermal();
-  (void)engine.submit_fleet(hotter);
+  (void)engine.submit(hotter);
   engine.wait_all();
   EXPECT_EQ(engine.stats().jobs_computed, 3u);
 }
@@ -513,24 +516,24 @@ TEST(Fleet, RejectsDegenerateConfigs) {
   core::ExperimentEngine engine(core::EngineOptions::with_workers(1));
   FleetConfig config = small_fleet_config();
   config.experiment.seeds = 0;
-  EXPECT_THROW((void)engine.submit_fleet(config), std::invalid_argument);
+  EXPECT_THROW((void)engine.submit(config), std::invalid_argument);
 
   config = small_fleet_config();
   config.devices.clear();
-  EXPECT_THROW((void)engine.submit_fleet(config), std::invalid_argument);
+  EXPECT_THROW((void)engine.submit(config), std::invalid_argument);
 
   config = small_fleet_config();
   config.devices[0].timeline = 7;
-  EXPECT_THROW((void)engine.submit_fleet(config), std::invalid_argument);
+  EXPECT_THROW((void)engine.submit(config), std::invalid_argument);
 
   config = small_fleet_config();
   config.thermal = test_thermal();
   config.thermal.release_c = config.thermal.trip_c;  // no hysteresis band
-  EXPECT_THROW((void)engine.submit_fleet(config), std::invalid_argument);
+  EXPECT_THROW((void)engine.submit(config), std::invalid_argument);
 
   config = small_fleet_config();
   config.allocator.cap_w = 0.0;
-  EXPECT_THROW((void)engine.submit_fleet(config), std::invalid_argument);
+  EXPECT_THROW((void)engine.submit(config), std::invalid_argument);
 }
 
 TEST(Fleet, BuilderAssemblesAndValidates) {
@@ -643,8 +646,10 @@ EngineRun run_engine(const std::vector<core::ScenarioConfig>& configs,
   core::EngineOptions options = core::EngineOptions::with_workers(workers);
   options.cache_enabled = cache_enabled;
   core::ExperimentEngine engine(options);
-  const std::vector<core::ScenarioHandle> handles =
-      engine.submit_batch(configs);
+  std::vector<core::ScenarioHandle> handles;
+  for (const core::ScenarioConfig& config : configs) {
+    handles.push_back(engine.submit(config));
+  }
   EngineRun run;
   for (const core::ScenarioHandle& handle : handles) {
     run.results.push_back(exact(handle.get()));

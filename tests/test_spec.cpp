@@ -1,11 +1,12 @@
 // The unified scenario API and its JSON spec front end:
 //  - spec round-trips: parse(spec_to_json(config)) reproduces the exact
-//    canonical cache key for every scenario kind;
+//    canonical cache key for every scenario kind, and golden keys pin
+//    those bytes so existing result stores stay warm;
 //  - malformed specs fail with pointed errors naming the offending key;
 //  - campaign grids expand the cross product and patch arbitrary dotted
 //    fields;
 //  - the acceptance equivalences: a fleet-of-one, uncapped, thermal-off
-//    spec through submit(ScenarioConfig) is bit-identical to submit_dvfs,
+//    spec is bit-identical to the same timeline submitted as a DVFS config,
 //    and a campaign covering a figure sweep is bit-identical to
 //    submit_sweep (shared engine cache pins key identity);
 //  - EngineStats breaks the counters down by scenario kind.
@@ -113,6 +114,58 @@ TEST(Spec, RoundTripDvfsWithPhasePatterns) {
   const ScenarioConfig original{config};
   EXPECT_EQ(canonical_scenario_key(round_trip(original)),
             canonical_scenario_key(original));
+}
+
+// --- golden canonical keys ------------------------------------------------
+
+// The canonical key is the engine cache key and the result-store entry
+// key (hashed into its file name), so its bytes are a persistence format:
+// any change orphans every existing store entry.  These pin the exact
+// bytes for one config of each kind; update them only together with a
+// deliberate store migration.
+constexpr const char* kStaticKey =
+    "static\x1f"
+    "gpu=NVIDIA A100 PCIe 40GB|dtype=FP16|n=64|seeds=2|iters=10000|base=42|"
+    "samp=6:0.5:24301|smpl=0.10000000000000001:0.5:0.14999999999999999:1.2|"
+    "var=none|pattern=gaussian(mean=0, sigma=210) | sparsity(0.25)|"
+    "praw=0:0:210:8:0:0:0.25:0:0:t";
+constexpr const char* kDvfsKey =
+    "dvfs\x1f"
+    "gpu=NVIDIA A100 PCIe 40GB|dtype=FP16|n=64|seeds=2|iters=10000|base=42|"
+    "samp=6:0.5:24301|smpl=0.10000000000000001:0.5:0.14999999999999999:1.2|"
+    "var=none|pattern=gaussian(mean=0, sigma=210) | sparsity(0.25)|"
+    "praw=0:0:210:8:0:0:0.25:0:0:t|"
+    "gov=1:0:0.80000000000000004:0.01:0.29999999999999999:"
+    "0.029999999999999999|slice=0.01|pstates=5|"
+    "tl=constant(util=1, dur=0.059999999999999998) |"
+    " constant(util=0.050000000000000003, dur=0.13999999999999999) |"
+    " constant(util=1, dur=0.059999999999999998) |"
+    " constant(util=0.050000000000000003, dur=0.13999999999999999) |"
+    " constant(util=1, dur=0.059999999999999998) |"
+    " constant(util=0.050000000000000003, dur=0.03999999999999998)";
+constexpr const char* kFleetKey =
+    "fleet\x1f"
+    "gpu=NVIDIA A100 PCIe 40GB|dtype=FP16|n=64|seeds=2|iters=10000|base=42|"
+    "samp=6:0.5:24301|smpl=0.10000000000000001:0.5:0.14999999999999999:1.2|"
+    "var=none|pattern=gaussian(mean=0, sigma=210) | sparsity(0.25)|"
+    "praw=0:0:210:8:0:0:0.25:0:0:t|alloc=2:417.34567890123458|"
+    "thermal=30:8:87:78:-1:-1|slice=0.01|pstates=5|"
+    "tl=constant(util=1, dur=0.059999999999999998) |"
+    " constant(util=0.050000000000000003, dur=0.13999999999999999) |"
+    " constant(util=1, dur=0.059999999999999998) |"
+    " constant(util=0.050000000000000003, dur=0.13999999999999999) |"
+    " constant(util=1, dur=0.059999999999999998) |"
+    " constant(util=0.050000000000000003, dur=0.03999999999999998)|"
+    "dev=NVIDIA A100 PCIe 40GB:1:0:0.69999999999999996:0.01:"
+    "0.29999999999999999:0.029999999999999999:0:2|"
+    "dev=NVIDIA H100 80GB HBM3:0:2:0.80000000000000004:0.01:"
+    "0.29999999999999999:0.029999999999999999:0:1";
+
+TEST(Spec, CanonicalKeysMatchGoldenBytes) {
+  EXPECT_EQ(canonical_scenario_key(ScenarioConfig(small_experiment())),
+            kStaticKey);
+  EXPECT_EQ(canonical_scenario_key(ScenarioConfig(small_dvfs())), kDvfsKey);
+  EXPECT_EQ(canonical_scenario_key(ScenarioConfig(small_fleet())), kFleetKey);
 }
 
 // --- pointed errors --------------------------------------------------------
@@ -277,19 +330,6 @@ TEST(Scenario, TypeErasedSubmitMatchesSerialReference) {
   expect_identical(handle.get().static_result(), run_experiment(config));
 }
 
-TEST(Scenario, TypedAndTypeErasedSubmitsShareOneJob) {
-  ExperimentEngine engine(EngineOptions::with_workers(4));
-  const ExperimentConfig config = small_experiment();
-  const ExperimentHandle typed = engine.submit(config);
-  const ScenarioHandle erased = engine.submit(ScenarioConfig(config));
-  engine.wait_all();
-  const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.submitted, 2u);
-  EXPECT_EQ(stats.jobs_computed, 1u);
-  EXPECT_EQ(stats.cache_hits, 1u);
-  expect_identical(typed.get(), erased.get().static_result());
-}
-
 TEST(Scenario, SubmitRejectsInvalidConfigsViaRegistry) {
   ExperimentEngine engine(EngineOptions::with_workers(2));
   ExperimentConfig config = small_experiment();
@@ -304,8 +344,8 @@ TEST(Scenario, SubmitRejectsInvalidConfigsViaRegistry) {
 }
 
 // The acceptance criterion: a fleet of one device, uncapped, thermal off,
-// authored as a JSON spec and run through submit(ScenarioConfig), is
-// bit-identical to the pre-redesign submit_dvfs path.
+// authored as a JSON spec, is bit-identical to the same timeline submitted
+// as a DVFS config.
 TEST(Scenario, FleetOfOneSpecMatchesSubmitDvfsBitwise) {
   const SpecParseResult parsed = parse_scenario_spec_text(R"json({
     "scenario": "fleet",
@@ -325,11 +365,12 @@ TEST(Scenario, FleetOfOneSpecMatchesSubmitDvfsBitwise) {
 
   ExperimentEngine engine(EngineOptions::with_workers(4));
   const ScenarioHandle fleet_handle = engine.submit(parsed.spec.config);
-  const DvfsHandle dvfs_handle = engine.submit_dvfs(small_dvfs());
+  const ScenarioHandle dvfs_handle =
+      engine.submit(ScenarioConfig(small_dvfs()));
   engine.wait_all();
 
   const FleetResult& fleet = fleet_handle.get().fleet();
-  const DvfsResult& dvfs = dvfs_handle.get();
+  const DvfsResult& dvfs = dvfs_handle.get().dvfs();
   EXPECT_DOUBLE_EQ(fleet.energy_j, dvfs.energy_j);
   EXPECT_DOUBLE_EQ(fleet.energy_std_j, dvfs.energy_std_j);
   EXPECT_DOUBLE_EQ(fleet.avg_power_w, dvfs.avg_power_w);
@@ -387,7 +428,7 @@ TEST(Scenario, CampaignFigureSweepMatchesSubmitSweepBitwise) {
   for (std::size_t i = 0; i < points.size(); ++i) {
     EXPECT_EQ(points[i].label, sweep.points[i].label);
     expect_identical(handles[i].get().static_result(),
-                     sweep.handles[i].get());
+                     sweep.handles[i].get().static_result());
   }
 }
 
@@ -396,10 +437,10 @@ TEST(Scenario, CampaignFigureSweepMatchesSubmitSweepBitwise) {
 TEST(Engine, StatsBreakDownByScenarioKind) {
   ExperimentEngine engine(EngineOptions::with_workers(4));
   (void)engine.submit(small_experiment());
-  (void)engine.submit_dvfs(small_dvfs());
+  (void)engine.submit(small_dvfs());
   FleetConfig fleet = small_fleet();
   fleet.experiment.seeds = 3;
-  (void)engine.submit_fleet(fleet);
+  (void)engine.submit(fleet);
   engine.wait_all();
 
   const EngineStats stats = engine.stats();

@@ -674,7 +674,7 @@ int cmd_predict(const Options& opts) {
   for (const core::SweepRun& run : runs) {
     for (std::size_t i = 0; i < run.points.size(); ++i) {
       core::PowerSample sample;
-      sample.power_w = run.handles[i].get().power_w;
+      sample.power_w = run.handles[i].get().static_result().power_w;
       sample.features = features_for(run.points[i].spec, opts.dtype,
                                      opts.env.n);
       samples.push_back(sample);
@@ -691,7 +691,7 @@ int cmd_predict(const Options& opts) {
 
   const double predicted =
       model.predict(features_for(spec, opts.dtype, opts.env.n));
-  const auto& measured = measured_handle.get();
+  const auto& measured = measured_handle.get().static_result();
   std::printf("pattern:   %s\n", core::to_dsl(spec).c_str());
   std::printf("predicted: %.2f W (no kernel walk)\n", predicted);
   std::printf("simulated: %.2f W (error %+.2f W)\n", measured.power_w,
@@ -1490,12 +1490,12 @@ int cmd_dvfs(const Options& opts) {
   const core::DvfsConfig config = parsed_spec.spec.config.dvfs();
 
   core::ExperimentEngine engine = make_engine(opts);
-  const core::DvfsHandle run = engine.submit_dvfs(config);
+  const core::ScenarioHandle run = engine.submit(config);
 
   // --json emits the requested governor's document alone; only the table
   // path pays for the reference replays.
   if (opts.json) {
-    std::printf("%s\n", core::dvfs_to_json(config, run.get())
+    std::printf("%s\n", core::dvfs_to_json(config, run.get().dvfs())
                             .dump(/*pretty=*/true)
                             .c_str());
     return 0;
@@ -1508,14 +1508,14 @@ int cmd_dvfs(const Options& opts) {
   fixed_config.governor = gpusim::dvfs::GovernorConfig{};
   fixed_config.governor.policy = gpusim::dvfs::GovernorConfig::Policy::kFixed;
   fixed_config.governor.fixed_pstate = 0;
-  const core::DvfsHandle fixed_run = engine.submit_dvfs(fixed_config);
+  const core::ScenarioHandle fixed_run = engine.submit(fixed_config);
   core::DvfsConfig oracle_config = config;
   oracle_config.governor = gpusim::dvfs::GovernorConfig{};
   oracle_config.governor.policy = gpusim::dvfs::GovernorConfig::Policy::kOracle;
-  const core::DvfsHandle oracle_run = engine.submit_dvfs(oracle_config);
+  const core::ScenarioHandle oracle_run = engine.submit(oracle_config);
   engine.wait_all();
 
-  const core::DvfsResult& result = run.get();
+  const core::DvfsResult& result = run.get().dvfs();
 
   std::printf("# gpowerctl dvfs: %s, %s, pattern: %s\n",
               std::string(gpusim::name(config.experiment.gpu)).c_str(),
@@ -1544,8 +1544,8 @@ int cmd_dvfs(const Options& opts) {
     table.print(std::cout);
   }
 
-  const core::DvfsResult& fixed = fixed_run.get();
-  const core::DvfsResult& oracle = oracle_run.get();
+  const core::DvfsResult& fixed = fixed_run.get().dvfs();
+  const core::DvfsResult& oracle = oracle_run.get().dvfs();
   const auto savings = [](double energy, double baseline) {
     return baseline > 0.0 ? (1.0 - energy / baseline) * 100.0 : 0.0;
   };
@@ -1617,10 +1617,10 @@ int cmd_fleet(const Options& opts) {
   const core::FleetConfig config = parsed_spec.spec.config.fleet();
 
   core::ExperimentEngine engine = make_engine(opts);
-  const core::FleetHandle run = engine.submit_fleet(config);
+  const core::ScenarioHandle run = engine.submit(config);
 
   if (opts.json) {
-    std::printf("%s\n", core::fleet_to_json(config, run.get())
+    std::printf("%s\n", core::fleet_to_json(config, run.get().fleet())
                             .dump(/*pretty=*/true)
                             .c_str());
     return 0;
@@ -1631,11 +1631,10 @@ int cmd_fleet(const Options& opts) {
   core::FleetConfig uncapped_config = config;
   uncapped_config.allocator.cap_w =
       std::numeric_limits<double>::infinity();
-  const core::FleetHandle uncapped_run =
-      engine.submit_fleet(uncapped_config);
+  const core::ScenarioHandle uncapped_run = engine.submit(uncapped_config);
   engine.wait_all();
 
-  const core::FleetResult& result = run.get();
+  const core::FleetResult& result = run.get().fleet();
 
   std::printf("# gpowerctl fleet: %d x %s, %s, allocator %s",
               opts.devices,
@@ -1672,7 +1671,7 @@ int cmd_fleet(const Options& opts) {
     table.print(std::cout);
   }
 
-  const core::FleetResult& uncapped = uncapped_run.get();
+  const core::FleetResult& uncapped = uncapped_run.get().fleet();
   if (result.truncated) {
     std::printf(
         "\nWARNING: a device hit the slice-cap backstop with work still "

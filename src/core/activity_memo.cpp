@@ -3,7 +3,7 @@
 #include <atomic>
 #include <exception>
 
-#include "core/config_builder.hpp"
+#include "core/config_fields.hpp"
 #include "core/obs/obs.hpp"
 #include "core/pattern_dsl.hpp"
 #include "gpusim/dvfs/dsl_util.hpp"

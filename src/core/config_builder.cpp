@@ -1,136 +1,43 @@
 #include "core/config_builder.hpp"
 
-#include <cstdio>
+#include <utility>
 
-#include "core/pattern_dsl.hpp"
-#include "gpusim/device.hpp"
+#include "gpusim/dvfs/dsl_util.hpp"
 
 namespace gpupower::core {
 namespace {
 
-// Matches the [64, 65536] range env.cpp enforces for GPUPOWER_N, so a
-// config is constructible through the builder iff it is reachable through
-// the environment knobs.
-constexpr std::size_t kMinN = 64;
-constexpr std::size_t kMaxN = 1 << 16;
-constexpr int kMaxSeeds = 10000;
-constexpr std::size_t kMaxIterations = 1000000000;
+using analysis::JsonValue;
 
-std::string format_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+/// Reads one value through the named row of S's table; empty on success,
+/// else the row's error.
+template <class S>
+std::string read_row(S& config, std::string_view key, JsonValue value) {
+  JsonValue doc = JsonValue::object();
+  doc.set(key, std::move(value));
+  fields::Ctx ctx;
+  (void)fields::read_fields(doc, {}, ctx, config);
+  return ctx.error;
+}
+
+/// Reads a DSL string through one of the fields' DSL readers.
+template <class T, class Read>
+std::string read_dsl(Read read, std::string_view dsl, T& out) {
+  const JsonValue value = JsonValue::string(dsl);
+  fields::Ctx ctx;
+  (void)read(&value, {}, ctx, out);
+  return ctx.error;
 }
 
 }  // namespace
 
-void ExperimentConfigBuilder::fail(std::string message) {
-  if (error_.empty()) error_ = std::move(message);
-}
-
-ExperimentConfigBuilder& ExperimentConfigBuilder::gpu(
-    gpupower::gpusim::GpuModel model) {
-  config_.gpu = model;
-  return *this;
-}
-
-ExperimentConfigBuilder& ExperimentConfigBuilder::dtype(
-    gpupower::numeric::DType dtype) {
-  config_.dtype = dtype;
-  return *this;
-}
-
 ExperimentConfigBuilder& ExperimentConfigBuilder::dtype(std::string_view name) {
-  gpupower::numeric::DType parsed;
-  if (!gpupower::numeric::parse_dtype(name, parsed)) {
-    fail("unknown dtype '" + std::string(name) +
-         "' (expected fp32 | fp16 | fp16t | int8)");
-    return *this;
-  }
-  config_.dtype = parsed;
-  return *this;
-}
-
-ExperimentConfigBuilder& ExperimentConfigBuilder::n(std::size_t n) {
-  if (n < kMinN || n > kMaxN) {
-    fail("n=" + std::to_string(n) + " out of range [" + std::to_string(kMinN) +
-         ", " + std::to_string(kMaxN) + "]");
-    return *this;
-  }
-  config_.n = n;
-  return *this;
-}
-
-ExperimentConfigBuilder& ExperimentConfigBuilder::seeds(int seeds) {
-  if (seeds < 1 || seeds > kMaxSeeds) {
-    fail("seeds=" + std::to_string(seeds) + " out of range [1, " +
-         std::to_string(kMaxSeeds) + "]");
-    return *this;
-  }
-  config_.seeds = seeds;
-  return *this;
-}
-
-ExperimentConfigBuilder& ExperimentConfigBuilder::iterations(
-    std::size_t iterations) {
-  if (iterations > kMaxIterations) {
-    fail("iterations=" + std::to_string(iterations) + " out of range [0, " +
-         std::to_string(kMaxIterations) + "]");
-    return *this;
-  }
-  config_.iterations = iterations;
-  return *this;
-}
-
-ExperimentConfigBuilder& ExperimentConfigBuilder::base_seed(
-    std::uint64_t seed) {
-  config_.base_seed = seed;
-  return *this;
-}
-
-ExperimentConfigBuilder& ExperimentConfigBuilder::pattern(
-    const PatternSpec& spec) {
-  config_.pattern = spec;
-  return *this;
+  return fail(read_row(config_, "dtype", JsonValue::string(name)));
 }
 
 ExperimentConfigBuilder& ExperimentConfigBuilder::pattern(
     std::string_view dsl) {
-  const ParseResult parsed = parse_pattern(dsl);
-  if (!parsed.ok) {
-    fail("pattern DSL error at offset " + std::to_string(parsed.error_pos) +
-         ": " + parsed.error);
-    return *this;
-  }
-  config_.pattern = parsed.spec;
-  return *this;
-}
-
-ExperimentConfigBuilder& ExperimentConfigBuilder::sampling(
-    const gpupower::gpusim::SamplingPlan& plan) {
-  if (plan.k_fraction <= 0.0 || plan.k_fraction > 1.0) {
-    fail("sampling.k_fraction=" + format_double(plan.k_fraction) +
-         " out of range (0, 1]");
-    return *this;
-  }
-  config_.sampling = plan;
-  return *this;
-}
-
-ExperimentConfigBuilder& ExperimentConfigBuilder::sampler(
-    const telemetry::SamplerConfig& config) {
-  if (config.period_s <= 0.0 || config.warmup_trim_s < 0.0) {
-    fail("sampler period must be positive and warmup trim non-negative");
-    return *this;
-  }
-  config_.sampler = config;
-  return *this;
-}
-
-ExperimentConfigBuilder& ExperimentConfigBuilder::variation(
-    const gpupower::gpusim::ProcessVariation& variation) {
-  config_.variation = variation;
-  return *this;
+  return fail(read_row(config_, "pattern", JsonValue::string(dsl)));
 }
 
 ExperimentConfigBuilder& ExperimentConfigBuilder::env(const BenchEnv& env) {
@@ -142,189 +49,51 @@ ExperimentConfigBuilder& ExperimentConfigBuilder::env(const BenchEnv& env) {
   gpupower::gpusim::SamplingPlan plan = config_.sampling;
   plan.max_tiles = env.tiles;
   plan.k_fraction = env.k_fraction;
-  sampling(plan);
-  return *this;
-}
-
-std::optional<ExperimentConfig> ExperimentConfigBuilder::try_build() const {
-  if (!valid()) return std::nullopt;
-  return config_;
-}
-
-void DvfsConfigBuilder::fail(std::string message) {
-  if (error_.empty()) error_ = std::move(message);
-}
-
-DvfsConfigBuilder& DvfsConfigBuilder::experiment(
-    const ExperimentConfig& config) {
-  config_.experiment = config;
-  return *this;
-}
-
-DvfsConfigBuilder& DvfsConfigBuilder::governor(
-    const gpupower::gpusim::dvfs::GovernorConfig& config) {
-  config_.governor = config;
-  return *this;
+  return sampling(plan);
 }
 
 DvfsConfigBuilder& DvfsConfigBuilder::governor(std::string_view dsl) {
-  const auto parsed = gpupower::gpusim::dvfs::parse_governor(dsl);
-  if (!parsed.ok) {
-    fail("governor DSL error at offset " + std::to_string(parsed.error_pos) +
-         ": " + parsed.error);
-    return *this;
-  }
-  config_.governor = parsed.config;
-  return *this;
-}
-
-DvfsConfigBuilder& DvfsConfigBuilder::timeline(
-    const gpupower::gpusim::dvfs::WorkloadTimeline& timeline) {
-  if (timeline.empty()) {
-    fail("timeline has no phases");
-    return *this;
-  }
-  config_.timeline = timeline;
-  return *this;
+  return fail(read_dsl(fields::read_governor, dsl, config_.governor));
 }
 
 DvfsConfigBuilder& DvfsConfigBuilder::timeline(std::string_view dsl) {
-  const auto parsed = gpupower::gpusim::dvfs::parse_timeline(dsl);
-  if (!parsed.ok) {
-    fail("timeline DSL error at offset " + std::to_string(parsed.error_pos) +
-         ": " + parsed.error);
-    return *this;
-  }
-  config_.timeline = parsed.timeline;
-  return *this;
-}
-
-DvfsConfigBuilder& DvfsConfigBuilder::add_phase_pattern(
-    const PatternSpec& spec) {
-  config_.phase_patterns.push_back(spec);
-  return *this;
+  return fail(read_dsl(fields::read_timeline, dsl, config_.timeline));
 }
 
 DvfsConfigBuilder& DvfsConfigBuilder::add_phase_pattern(std::string_view dsl) {
-  const ParseResult parsed = parse_pattern(dsl);
-  if (!parsed.ok) {
-    fail("phase pattern DSL error at offset " +
-         std::to_string(parsed.error_pos) + ": " + parsed.error);
-    return *this;
-  }
-  config_.phase_patterns.push_back(parsed.spec);
-  return *this;
-}
-
-DvfsConfigBuilder& DvfsConfigBuilder::slice(double slice_s) {
-  // The microsecond floor keeps replay slice counts sane (the replayer
-  // additionally hard-caps the slice count as a backstop).
-  if (!(slice_s >= 1e-6) || slice_s > 10.0) {
-    fail("slice=" + format_double(slice_s) +
-         " out of range [1e-6, 10] seconds");
-    return *this;
-  }
-  config_.slice_s = slice_s;
-  return *this;
-}
-
-DvfsConfigBuilder& DvfsConfigBuilder::pstates(int count) {
-  if (count < 1 || count > 16) {
-    fail("pstates=" + std::to_string(count) + " out of range [1, 16]");
-    return *this;
-  }
-  config_.pstates = count;
-  return *this;
-}
-
-const std::string& DvfsConfigBuilder::error() const noexcept {
-  if (!error_.empty()) return error_;
-  static const std::string kMissingTimeline =
-      "no timeline set (a DVFS config needs a workload to replay)";
-  static const std::string kDanglingPattern =
-      "timeline references a phase pattern index beyond the added "
-      "phase patterns (add_phase_pattern)";
-  static const std::string kNone;
-  if (config_.timeline.empty()) return kMissingTimeline;
-  if (config_.timeline.max_pattern_index() >=
-      static_cast<int>(config_.phase_patterns.size())) {
-    return kDanglingPattern;
-  }
-  return kNone;
-}
-
-std::optional<DvfsConfig> DvfsConfigBuilder::try_build() const {
-  if (!valid()) return std::nullopt;
-  return config_;
-}
-
-void FleetConfigBuilder::fail(std::string message) {
-  if (error_.empty()) error_ = std::move(message);
-}
-
-FleetConfigBuilder& FleetConfigBuilder::experiment(
-    const ExperimentConfig& config) {
-  config_.experiment = config;
-  return *this;
-}
-
-FleetConfigBuilder& FleetConfigBuilder::add_timeline(
-    const gpupower::gpusim::dvfs::WorkloadTimeline& timeline) {
-  if (timeline.empty()) {
-    fail("timeline has no phases");
-    return *this;
-  }
-  config_.timelines.push_back(timeline);
-  return *this;
+  PatternSpec spec;
+  const std::string problem = read_dsl(fields::read_pattern, dsl, spec);
+  return problem.empty() ? add_phase_pattern(spec) : fail(problem);
 }
 
 FleetConfigBuilder& FleetConfigBuilder::add_timeline(std::string_view dsl) {
-  const auto parsed = gpupower::gpusim::dvfs::parse_timeline(dsl);
-  if (!parsed.ok) {
-    fail("timeline DSL error at offset " + std::to_string(parsed.error_pos) +
-         ": " + parsed.error);
-    return *this;
-  }
-  config_.timelines.push_back(parsed.timeline);
-  return *this;
-}
-
-FleetConfigBuilder& FleetConfigBuilder::add_device(
-    const FleetDeviceConfig& device) {
-  config_.devices.push_back(device);
-  return *this;
+  gpupower::gpusim::dvfs::WorkloadTimeline timeline;
+  const std::string problem = read_dsl(fields::read_timeline, dsl, timeline);
+  return problem.empty() ? add_timeline(timeline) : fail(problem);
 }
 
 FleetConfigBuilder& FleetConfigBuilder::add_device(
     gpupower::gpusim::GpuModel gpu, std::string_view governor_dsl,
     int timeline, int priority) {
-  const auto parsed = gpupower::gpusim::dvfs::parse_governor(governor_dsl);
-  if (!parsed.ok) {
-    fail("governor DSL error at offset " + std::to_string(parsed.error_pos) +
-         ": " + parsed.error);
-    return *this;
-  }
-  FleetDeviceConfig device;
-  device.gpu = gpu;
-  device.governor = parsed.config;
-  device.timeline = timeline;
-  device.priority = priority;
-  config_.devices.push_back(device);
-  return *this;
+  FleetDeviceConfig device{gpu, {}, timeline, priority};
+  const std::string problem =
+      read_dsl(fields::read_governor, governor_dsl, device.governor);
+  return problem.empty() ? add_device(device) : fail(problem);
 }
 
 FleetConfigBuilder& FleetConfigBuilder::add_staggered_devices(
     const gpupower::gpusim::dvfs::WorkloadTimeline& timeline, int count,
     double stagger_s, gpupower::gpusim::GpuModel gpu,
     std::string_view governor_dsl) {
-  if (count < 1 || count > 256) {
-    fail("staggered device count " + std::to_string(count) +
-         " out of range [1, 256]");
-    return *this;
+  if (!fields::kStaggeredCount.contains(count)) {
+    return fail(fields::out_of_range("staggered.count", std::to_string(count),
+                                     fields::kStaggeredCount));
   }
-  if (stagger_s < 0.0) {
-    fail("stagger must be non-negative");
-    return *this;
+  if (!fields::kStaggerSeconds.contains(stagger_s)) {
+    return fail(fields::out_of_range(
+        "staggered.stagger_s",
+        gpupower::gpusim::dvfs::detail::format_exact(stagger_s),
+        fields::kStaggerSeconds));
   }
   const int base = static_cast<int>(config_.timelines.size());
   for (int i = 0; i < count; ++i) {
@@ -341,142 +110,15 @@ FleetConfigBuilder& FleetConfigBuilder::add_staggered_devices(
   return *this;
 }
 
-FleetConfigBuilder& FleetConfigBuilder::allocator(
-    const gpupower::gpusim::fleet::AllocatorConfig& config) {
-  config_.allocator = config;
-  return *this;
-}
-
 FleetConfigBuilder& FleetConfigBuilder::allocator(std::string_view policy) {
-  gpupower::gpusim::fleet::AllocatorConfig::Policy parsed;
-  if (!gpupower::gpusim::fleet::parse_allocator_policy(policy, parsed)) {
-    fail("unknown allocator '" + std::string(policy) +
-         "' (expected uniform | proportional | priority | greedy)");
-    return *this;
-  }
-  config_.allocator.policy = parsed;
-  return *this;
-}
-
-FleetConfigBuilder& FleetConfigBuilder::cap(double cap_w) {
-  if (!(cap_w > 0.0)) {
-    fail("cap=" + format_double(cap_w) +
-         " must be positive (infinity = uncapped)");
-    return *this;
-  }
-  config_.allocator.cap_w = cap_w;
-  return *this;
-}
-
-FleetConfigBuilder& FleetConfigBuilder::thermal(
-    const gpupower::gpusim::fleet::ThermalConfig& config) {
-  if (config.enabled && !(config.tau_s > 0.0)) {
-    fail("thermal tau must be > 0");
-    return *this;
-  }
-  if (config.enabled && !(config.trip_c > config.release_c)) {
-    fail("thermal trip temperature must exceed the release temperature");
-    return *this;
-  }
-  config_.thermal = config;
-  return *this;
-}
-
-FleetConfigBuilder& FleetConfigBuilder::add_phase_pattern(
-    const PatternSpec& spec) {
-  config_.phase_patterns.push_back(spec);
-  return *this;
+  return fail(read_row(config_, "allocator", JsonValue::string(policy)));
 }
 
 FleetConfigBuilder& FleetConfigBuilder::add_phase_pattern(
     std::string_view dsl) {
-  const ParseResult parsed = parse_pattern(dsl);
-  if (!parsed.ok) {
-    fail("phase pattern DSL error at offset " +
-         std::to_string(parsed.error_pos) + ": " + parsed.error);
-    return *this;
-  }
-  config_.phase_patterns.push_back(parsed.spec);
-  return *this;
-}
-
-FleetConfigBuilder& FleetConfigBuilder::slice(double slice_s) {
-  if (!(slice_s >= 1e-6) || slice_s > 10.0) {
-    fail("slice=" + format_double(slice_s) +
-         " out of range [1e-6, 10] seconds");
-    return *this;
-  }
-  config_.slice_s = slice_s;
-  return *this;
-}
-
-FleetConfigBuilder& FleetConfigBuilder::pstates(int count) {
-  if (count < 1 || count > 16) {
-    fail("pstates=" + std::to_string(count) + " out of range [1, 16]");
-    return *this;
-  }
-  config_.pstates = count;
-  return *this;
-}
-
-bool FleetConfigBuilder::valid() const noexcept {
-  return error_.empty() && validate_fleet_config(config_).empty();
-}
-
-std::string FleetConfigBuilder::error() const {
-  if (!error_.empty()) return error_;
-  return validate_fleet_config(config_);
-}
-
-std::optional<FleetConfig> FleetConfigBuilder::try_build() const {
-  if (!valid()) return std::nullopt;
-  return config_;
-}
-
-std::string canonical_config_key(const ExperimentConfig& config) {
-  std::string key;
-  key.reserve(192);
-  key += "gpu=";
-  key += gpupower::gpusim::name(config.gpu);
-  key += "|dtype=";
-  key += gpupower::numeric::name(config.dtype);
-  key += "|n=" + std::to_string(config.n);
-  key += "|seeds=" + std::to_string(config.seeds);
-  key += "|iters=" + std::to_string(config.effective_iterations());
-  key += "|base=" + std::to_string(config.base_seed);
-  key += "|samp=" + std::to_string(config.sampling.max_tiles) + ":" +
-         format_double(config.sampling.k_fraction) + ":" +
-         std::to_string(config.sampling.seed);
-  key += "|smpl=" + format_double(config.sampler.period_s) + ":" +
-         format_double(config.sampler.warmup_trim_s) + ":" +
-         format_double(config.sampler.ramp_tau_s) + ":" +
-         format_double(config.sampler.noise_sigma_w);
-  key += "|var=";
-  if (config.variation) {
-    key += format_double(config.variation->sigma_fraction) + ":" +
-           std::to_string(config.variation->instance) + ":" +
-           (config.variation->per_seed ? "perseed" : "shared");
-  } else {
-    key += "none";
-  }
-  // to_dsl keeps the key human-readable, but rounds doubles to ~6
-  // significant digits; append the pattern's raw scalars at full precision
-  // so near-identical specs never collide.
-  key += "|pattern=" + to_dsl(config.pattern);
-  key += "|praw=" + pattern_raw_key(config.pattern);
-  return key;
-}
-
-std::string pattern_raw_key(const PatternSpec& pattern) {
-  return std::to_string(static_cast<int>(pattern.value)) + ":" +
-         format_double(pattern.mean) + ":" + format_double(pattern.sigma) +
-         ":" + std::to_string(pattern.set_size) + ":" +
-         std::to_string(static_cast<int>(pattern.place)) + ":" +
-         format_double(pattern.sort_percent) + ":" +
-         format_double(pattern.sparsity) + ":" +
-         std::to_string(static_cast<int>(pattern.bitop)) + ":" +
-         format_double(pattern.bit_fraction) + ":" +
-         (pattern.transpose_b ? "t" : "n");
+  PatternSpec spec;
+  const std::string problem = read_dsl(fields::read_pattern, dsl, spec);
+  return problem.empty() ? add_phase_pattern(spec) : fail(problem);
 }
 
 }  // namespace gpupower::core

@@ -14,14 +14,17 @@
 //
 // Errors (bad DSL, out-of-range sizes, unknown dtype names) are collected
 // rather than thrown: check `valid()` / `error()`, or use `try_build()`.
-// The first error encountered wins, pointing at the root cause.
+// The first error encountered wins, pointing at the root cause.  Ranges
+// and spellings come from the field tables (core/config_fields.hpp).
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 
+#include "core/config_fields.hpp"
 #include "core/dvfs_experiment.hpp"
 #include "core/env.hpp"
 #include "core/experiment.hpp"
@@ -33,24 +36,43 @@ class ExperimentConfigBuilder {
  public:
   ExperimentConfigBuilder() = default;
 
-  ExperimentConfigBuilder& gpu(gpupower::gpusim::GpuModel model);
-  ExperimentConfigBuilder& dtype(gpupower::numeric::DType dtype);
+  ExperimentConfigBuilder& gpu(gpupower::gpusim::GpuModel model) {
+    return set(config_.gpu, model);
+  }
+  ExperimentConfigBuilder& dtype(gpupower::numeric::DType dtype) {
+    return set(config_.dtype, dtype);
+  }
   /// Parses "fp32" / "fp16" / "fp16t" / "int8"; unknown names record an
   /// error.
   ExperimentConfigBuilder& dtype(std::string_view name);
-  ExperimentConfigBuilder& n(std::size_t n);
-  ExperimentConfigBuilder& seeds(int seeds);
+  ExperimentConfigBuilder& n(std::size_t n) { return set(config_.n, n); }
+  ExperimentConfigBuilder& seeds(int seeds) {
+    return set(config_.seeds, seeds);
+  }
   /// 0 keeps the paper default (20k FP16-T, 10k others).
-  ExperimentConfigBuilder& iterations(std::size_t iterations);
-  ExperimentConfigBuilder& base_seed(std::uint64_t seed);
-  ExperimentConfigBuilder& pattern(const PatternSpec& spec);
+  ExperimentConfigBuilder& iterations(std::size_t iterations) {
+    return set(config_.iterations, iterations);
+  }
+  ExperimentConfigBuilder& base_seed(std::uint64_t seed) {
+    return set(config_.base_seed, seed);
+  }
+  ExperimentConfigBuilder& pattern(const PatternSpec& spec) {
+    return set(config_.pattern, spec);
+  }
   /// Parses a pattern-DSL string; parse failures record the parser's
   /// message and byte offset.
   ExperimentConfigBuilder& pattern(std::string_view dsl);
-  ExperimentConfigBuilder& sampling(const gpupower::gpusim::SamplingPlan& plan);
-  ExperimentConfigBuilder& sampler(const telemetry::SamplerConfig& config);
+  ExperimentConfigBuilder& sampling(
+      const gpupower::gpusim::SamplingPlan& plan) {
+    return set(config_.sampling, plan);
+  }
+  ExperimentConfigBuilder& sampler(const telemetry::SamplerConfig& config) {
+    return set(config_.sampler, config);
+  }
   ExperimentConfigBuilder& variation(
-      const gpupower::gpusim::ProcessVariation& variation);
+      const gpupower::gpusim::ProcessVariation& variation) {
+    return set(config_.variation, variation);
+  }
   /// Applies the GPUPOWER_* environment knobs (n, seeds, sampling plan)
   /// through the validating setters, so out-of-range values recorded into a
   /// BenchEnv by hand (e.g. from CLI flags) surface as builder errors.
@@ -65,10 +87,21 @@ class ExperimentConfigBuilder {
   /// try_build() when the inputs are untrusted.
   [[nodiscard]] ExperimentConfig build() const { return config_; }
   /// std::nullopt when any setter recorded an error.
-  [[nodiscard]] std::optional<ExperimentConfig> try_build() const;
+  [[nodiscard]] std::optional<ExperimentConfig> try_build() const {
+    return valid() ? std::optional(config_) : std::nullopt;
+  }
 
  private:
-  void fail(std::string message);
+  /// Assigns, then records the first out-of-range row of the config.
+  template <class T, class V>
+  ExperimentConfigBuilder& set(T& member, V&& value) {
+    member = std::forward<V>(value);
+    return fail(fields::check_fields(config_));
+  }
+  ExperimentConfigBuilder& fail(std::string message) {
+    if (error_.empty()) error_ = std::move(message);
+    return *this;
+  }
 
   ExperimentConfig config_;
   std::string error_;
@@ -92,39 +125,65 @@ class DvfsConfigBuilder {
  public:
   DvfsConfigBuilder() = default;
 
-  DvfsConfigBuilder& experiment(const ExperimentConfig& config);
-  DvfsConfigBuilder& governor(const gpupower::gpusim::dvfs::GovernorConfig& config);
+  DvfsConfigBuilder& experiment(const ExperimentConfig& config) {
+    return set(config_.experiment, config);
+  }
+  DvfsConfigBuilder& governor(
+      const gpupower::gpusim::dvfs::GovernorConfig& config) {
+    return set(config_.governor, config);
+  }
   /// Parses the governor DSL (fixed | utilization | oracle).
   DvfsConfigBuilder& governor(std::string_view dsl);
-  DvfsConfigBuilder& timeline(const gpupower::gpusim::dvfs::WorkloadTimeline& timeline);
+  DvfsConfigBuilder& timeline(
+      const gpupower::gpusim::dvfs::WorkloadTimeline& timeline) {
+    return set(config_.timeline, timeline);
+  }
   /// Parses the timeline DSL (constant | idle | burst | ramp stages).
   DvfsConfigBuilder& timeline(std::string_view dsl);
   /// Appends a phase pattern the timeline references by index (the DSL's
   /// `pattern=K` stage key; K is the append order).
-  DvfsConfigBuilder& add_phase_pattern(const PatternSpec& spec);
+  DvfsConfigBuilder& add_phase_pattern(const PatternSpec& spec) {
+    config_.phase_patterns.push_back(spec);
+    return *this;
+  }
   /// Parses a pattern-DSL string and appends it.
   DvfsConfigBuilder& add_phase_pattern(std::string_view dsl);
-  /// Replay time step in seconds, [1e-6, 10].
-  DvfsConfigBuilder& slice(double slice_s);
-  /// P-state table depth, [1, 16]; 1 is the DVFS-disabled degenerate case.
-  DvfsConfigBuilder& pstates(int count);
-
-  /// A timeline is required: a builder that never received one is invalid
-  /// (there is no sensible default workload to replay).  A timeline phase
-  /// referencing a pattern index beyond the added phase patterns is a
-  /// dangling cross-reference, also invalid.
-  [[nodiscard]] bool valid() const noexcept {
-    return error_.empty() && !config_.timeline.empty() &&
-           config_.timeline.max_pattern_index() <
-               static_cast<int>(config_.phase_patterns.size());
+  /// Replay time step in seconds.
+  DvfsConfigBuilder& slice(double slice_s) {
+    return set(config_.slice_s, slice_s);
   }
-  [[nodiscard]] const std::string& error() const noexcept;
+  /// P-state table depth; 1 is the DVFS-disabled degenerate case.
+  DvfsConfigBuilder& pstates(int count) { return set(config_.pstates, count); }
+
+  /// Valid iff no setter recorded an error and validate_dvfs_config
+  /// accepts the assembled config.  A timeline is required (there is no
+  /// sensible default workload to replay), and a phase referencing a
+  /// pattern index beyond the added phase patterns is a dangling
+  /// cross-reference.
+  [[nodiscard]] bool valid() const noexcept { return error().empty(); }
+  [[nodiscard]] std::string error() const {
+    return error_.empty() ? validate_dvfs_config(config_) : error_;
+  }
 
   [[nodiscard]] DvfsConfig build() const { return config_; }
-  [[nodiscard]] std::optional<DvfsConfig> try_build() const;
+  [[nodiscard]] std::optional<DvfsConfig> try_build() const {
+    return valid() ? std::optional(config_) : std::nullopt;
+  }
 
  private:
-  void fail(std::string message);
+  /// Assigns, then records the first out-of-range field (the cross-field
+  /// checks wait for error()).
+  template <class T, class V>
+  DvfsConfigBuilder& set(T& member, V&& value) {
+    member = std::forward<V>(value);
+    fail(fields::check_fields(config_.experiment, "experiment"));
+    fail(fields::check_fields(config_.governor, "governor"));
+    return fail(fields::check_fields(config_));
+  }
+  DvfsConfigBuilder& fail(std::string message) {
+    if (error_.empty()) error_ = std::move(message);
+    return *this;
+  }
 
   DvfsConfig config_;
   std::string error_;
@@ -151,13 +210,25 @@ class DvfsConfigBuilder {
 class FleetConfigBuilder {
  public:
   FleetConfigBuilder() = default;
+  /// Continues assembling `config` (the spec parser's fleet, before its
+  /// staggered block expands).
+  explicit FleetConfigBuilder(FleetConfig config)
+      : config_(std::move(config)) {}
 
-  FleetConfigBuilder& experiment(const ExperimentConfig& config);
+  FleetConfigBuilder& experiment(const ExperimentConfig& config) {
+    return set(config_.experiment, config);
+  }
   /// Appends a timeline; devices reference timelines by append order.
   FleetConfigBuilder& add_timeline(
-      const gpupower::gpusim::dvfs::WorkloadTimeline& timeline);
+      const gpupower::gpusim::dvfs::WorkloadTimeline& timeline) {
+    config_.timelines.push_back(timeline);
+    return *this;
+  }
   FleetConfigBuilder& add_timeline(std::string_view dsl);
-  FleetConfigBuilder& add_device(const FleetDeviceConfig& device);
+  FleetConfigBuilder& add_device(const FleetDeviceConfig& device) {
+    config_.devices.push_back(device);
+    return *this;
+  }
   /// Appends a device with its governor given as DSL; `timeline` indexes
   /// the add_timeline order.
   FleetConfigBuilder& add_device(gpupower::gpusim::GpuModel gpu,
@@ -175,47 +246,61 @@ class FleetConfigBuilder {
       double stagger_s, gpupower::gpusim::GpuModel gpu,
       std::string_view governor_dsl);
   FleetConfigBuilder& allocator(
-      const gpupower::gpusim::fleet::AllocatorConfig& config);
+      const gpupower::gpusim::fleet::AllocatorConfig& config) {
+    return set(config_.allocator, config);
+  }
   /// Parses "uniform" | "proportional" | "priority" | "greedy" (keeps the
   /// current cap).
   FleetConfigBuilder& allocator(std::string_view policy);
   /// Shared fleet power cap in watts; infinity = uncapped.
-  FleetConfigBuilder& cap(double cap_w);
+  FleetConfigBuilder& cap(double cap_w) {
+    return set(config_.allocator.cap_w, cap_w);
+  }
   FleetConfigBuilder& thermal(
-      const gpupower::gpusim::fleet::ThermalConfig& config);
+      const gpupower::gpusim::fleet::ThermalConfig& config) {
+    return set(config_.thermal, config);
+  }
   /// Appends a phase pattern every timeline can reference by index.
-  FleetConfigBuilder& add_phase_pattern(const PatternSpec& spec);
+  FleetConfigBuilder& add_phase_pattern(const PatternSpec& spec) {
+    config_.phase_patterns.push_back(spec);
+    return *this;
+  }
   FleetConfigBuilder& add_phase_pattern(std::string_view dsl);
-  /// Replay time step in seconds, [1e-6, 10].
-  FleetConfigBuilder& slice(double slice_s);
-  /// P-state table depth, [1, 16].
-  FleetConfigBuilder& pstates(int count);
+  /// Replay time step in seconds.
+  FleetConfigBuilder& slice(double slice_s) {
+    return set(config_.slice_s, slice_s);
+  }
+  /// P-state table depth.
+  FleetConfigBuilder& pstates(int count) { return set(config_.pstates, count); }
 
   /// Valid iff no setter recorded an error and validate_fleet_config
   /// accepts the assembled cross-references.
-  [[nodiscard]] bool valid() const noexcept;
-  [[nodiscard]] std::string error() const;
+  [[nodiscard]] bool valid() const noexcept { return error().empty(); }
+  [[nodiscard]] std::string error() const {
+    return error_.empty() ? validate_fleet_config(config_) : error_;
+  }
 
   [[nodiscard]] FleetConfig build() const { return config_; }
-  [[nodiscard]] std::optional<FleetConfig> try_build() const;
+  [[nodiscard]] std::optional<FleetConfig> try_build() const {
+    return valid() ? std::optional(config_) : std::nullopt;
+  }
 
  private:
-  void fail(std::string message);
+  /// Assigns, then records the first out-of-range field (the cross-field
+  /// checks wait for error()).
+  template <class T, class V>
+  FleetConfigBuilder& set(T& member, V&& value) {
+    member = std::forward<V>(value);
+    fail(fields::check_fields(config_.experiment, "experiment"));
+    return fail(fields::check_fields(config_));
+  }
+  FleetConfigBuilder& fail(std::string message) {
+    if (error_.empty()) error_ = std::move(message);
+    return *this;
+  }
 
   FleetConfig config_;
   std::string error_;
 };
-
-/// Canonical cache key for a config: the pattern serialised through
-/// `to_dsl` (human-readable) plus every scalar field that influences the
-/// result — including the pattern's raw scalars — at "%.17g" precision so
-/// distinct configs never collide.  Two configs with equal keys produce
-/// bit-identical ExperimentResults.
-[[nodiscard]] std::string canonical_config_key(const ExperimentConfig& config);
-
-/// One pattern's raw scalars at "%.17g" precision — the `praw` fragment of
-/// canonical_config_key, reused by the DVFS/fleet keys for the per-phase
-/// pattern lists.
-[[nodiscard]] std::string pattern_raw_key(const PatternSpec& pattern);
 
 }  // namespace gpupower::core

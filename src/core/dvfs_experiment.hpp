@@ -63,17 +63,18 @@ struct DvfsResult {
   gpupower::gpusim::dvfs::ReplayResult trace;
 };
 
-/// Validates everything a hand-assembled config can get wrong (seeds,
-/// slice, empty timeline, pstates range, dangling phase-pattern
-/// references).  Returns an empty string when valid, else the first
-/// problem — shared by DvfsConfigBuilder, ExperimentEngine, and the
-/// scenario registry.
+/// Validates everything a hand-assembled config can get wrong: every field
+/// range (core/config_fields.hpp), an empty timeline and dangling
+/// phase-pattern references.  Returns an empty string when valid, else the
+/// first problem — shared by DvfsConfigBuilder, the spec parser, and the
+/// scenario registry (ExperimentEngine::submit).
 [[nodiscard]] std::string validate_dvfs_config(const DvfsConfig& config);
 
 /// Replays one seed replica's timeline.  Pure and thread-safe, like
-/// run_seed_replica.  Throws std::invalid_argument on a non-positive slice
-/// or an empty timeline.  `memo`, when given, serves the activity walks
-/// (see replica_activity_variants); results are bit-identical either way.
+/// run_seed_replica.  Throws std::invalid_argument when
+/// validate_dvfs_config rejects the config.  `memo`, when given, serves the
+/// activity walks (see replica_activity_variants); results are
+/// bit-identical either way.
 [[nodiscard]] gpupower::gpusim::dvfs::ReplayResult run_dvfs_seed_replica(
     const DvfsConfig& config, int seed_index, ActivityMemo* memo = nullptr);
 

@@ -3,6 +3,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
+#include <type_traits>
+
+#include "core/config_fields.hpp"
 
 namespace gpupower::core {
 namespace {
@@ -13,45 +17,55 @@ namespace {
   std::exit(2);
 }
 
-long read_long(const char* name, long fallback, long min, long max,
-               const char* expect) {
+/// Reads an integer (T integral) or real knob, rejecting trailing junk and
+/// values outside `range`.
+template <class T>
+T read_knob(const char* name, T fallback, const fields::Range& range,
+            const std::string& expect) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
   char* end = nullptr;
-  const long v = std::strtol(raw, &end, 10);
-  if (end == raw || *end != '\0' || v < min || v > max) {
-    die(name, raw, expect);
+  T v{};
+  if constexpr (std::is_integral_v<T>) {
+    v = std::strtol(raw, &end, 10);
+  } else {
+    v = std::strtod(raw, &end);
+  }
+  if (end == raw || *end != '\0' || !range.contains(static_cast<double>(v))) {
+    die(name, raw, expect.c_str());
   }
   return v;
 }
 
-double read_double(const char* name, double fallback, double min, double max,
-                   const char* expect) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(raw, &end);
-  if (end == raw || *end != '\0' || !(v > min) || !(v <= max)) {
-    die(name, raw, expect);
-  }
-  return v;
+/// The declared range of an ExperimentConfig row ("n", "sampling.tiles").
+fields::Range experiment_range(std::string_view path) {
+  fields::Range range;
+  fields::walk_fields<ExperimentConfig>(
+      {}, [&](const std::string& row_path, const fields::RowInfo& row) {
+        if (row_path == path) range = row.range;
+      });
+  return range;
 }
 
 }  // namespace
 
 BenchEnv read_bench_env() {
+  const fields::Range n = experiment_range("n");
+  const fields::Range seeds = experiment_range("seeds");
+  const fields::Range tiles = experiment_range("sampling.tiles");
+  const fields::Range k_fraction = experiment_range("sampling.k_fraction");
   BenchEnv env;
-  env.n = static_cast<std::size_t>(read_long(
-      "GPUPOWER_N", 512, 64, 65536, "integer matrix size in [64, 65536]"));
-  env.seeds = static_cast<int>(read_long("GPUPOWER_SEEDS", 2, 1, 10000,
-                                         "integer seed count in [1, 10000]"));
-  env.tiles = static_cast<std::size_t>(
-      read_long("GPUPOWER_TILES", 12, 0, 1000000,
-                "integer tile budget in [0, 1000000]; 0 = exact walk"));
-  env.k_fraction = read_double("GPUPOWER_KFRAC", 0.5, 0.0, 1.0,
-                               "fraction in (0, 1]");
+  env.n = static_cast<std::size_t>(read_knob(
+      "GPUPOWER_N", 512L, n, "integer matrix size in " + n.text()));
+  env.seeds = static_cast<int>(read_knob(
+      "GPUPOWER_SEEDS", 2L, seeds, "integer seed count in " + seeds.text()));
+  env.tiles = static_cast<std::size_t>(read_knob(
+      "GPUPOWER_TILES", 12L, tiles,
+      "integer tile budget in " + tiles.text() + "; 0 = exact walk"));
+  env.k_fraction = read_knob("GPUPOWER_KFRAC", 0.5, k_fraction,
+                             "fraction in " + k_fraction.text());
   env.workers = static_cast<int>(
-      read_long("GPUPOWER_WORKERS", 0, 0, 256,
+      read_knob("GPUPOWER_WORKERS", 0L, {0, 256},
                 "worker count in [0, 256]; 0 = hardware concurrency"));
   env.csv = std::getenv("GPUPOWER_CSV") != nullptr;
   return env;
@@ -86,7 +100,7 @@ StoreEnv read_store_env() {
   }
   env.enabled = on && !env.dir.empty();
   env.max_bytes = static_cast<std::size_t>(
-      read_long("GPUPOWER_STORE_MAX_BYTES", 0, 0, 1ll << 62,
+      read_knob("GPUPOWER_STORE_MAX_BYTES", 0L, {0, 0x1p62},
                 "integer byte budget >= 0; 0 = unlimited"));
   return env;
 }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "analysis/stats.hpp"
+#include "core/config_fields.hpp"
 #include "core/obs/obs.hpp"
 #include "patterns/rng.hpp"
 
@@ -123,10 +124,9 @@ ExperimentResult reduce_replicas(const ExperimentConfig& config,
 }
 
 ExperimentResult run_experiment(const ExperimentConfig& config) {
-  if (config.seeds <= 0) {
-    throw std::invalid_argument(
-        "run_experiment: config.seeds must be >= 1, got " +
-        std::to_string(config.seeds));
+  const std::string problem = fields::check_fields(config);
+  if (!problem.empty()) {
+    throw std::invalid_argument("run_experiment: " + problem);
   }
   std::vector<SeedReplicaResult> replicas;
   replicas.reserve(static_cast<std::size_t>(config.seeds));

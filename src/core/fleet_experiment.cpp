@@ -8,8 +8,7 @@
 #include <vector>
 
 #include "analysis/stats.hpp"
-#include "core/config_builder.hpp"
-#include "gpusim/dvfs/dsl_util.hpp"
+#include "core/config_fields.hpp"
 #include "gpusim/simulator.hpp"
 #include "patterns/rng.hpp"
 
@@ -18,8 +17,6 @@ namespace {
 
 namespace dvfs = gpupower::gpusim::dvfs;
 namespace fleet = gpupower::gpusim::fleet;
-
-using dvfs::detail::format_exact;
 
 /// The timeline whose phases reference the largest pattern index — the one
 /// replica_activity_variants validates the variant table against.
@@ -51,6 +48,11 @@ double quantile(std::vector<double> values, double q) {
 }  // namespace
 
 std::string validate_fleet_config(const FleetConfig& config) {
+  for (std::string problem :
+       {fields::check_fields(config.experiment, "experiment"),
+        fields::check_fields(config)}) {
+    if (!problem.empty()) return problem;
+  }
   if (config.devices.empty()) return "fleet has no devices";
   if (config.timelines.empty()) return "fleet has no timelines";
   for (std::size_t i = 0; i < config.timelines.size(); ++i) {
@@ -66,6 +68,11 @@ std::string validate_fleet_config(const FleetConfig& config) {
     }
   }
   for (std::size_t i = 0; i < config.devices.size(); ++i) {
+    if (!fields::check_fields(config.devices[i].governor).empty()) {
+      return fields::check_fields(
+          config.devices[i].governor,
+          "devices[" + std::to_string(i) + "].governor");
+    }
     const int timeline = config.devices[i].timeline;
     if (timeline < 0 ||
         timeline >= static_cast<int>(config.timelines.size())) {
@@ -75,20 +82,10 @@ std::string validate_fleet_config(const FleetConfig& config) {
              " timeline(s) are configured";
     }
   }
-  if (config.slice_s <= 0.0) return "slice_s must be > 0";
-  if (config.pstates < 1 || config.pstates > 16) {
-    return "pstates must be in [1, 16], got " +
-           std::to_string(config.pstates);
-  }
-  if (!(config.allocator.cap_w > 0.0)) {
-    return "allocator cap must be positive (infinity = uncapped)";
-  }
-  if (config.thermal.enabled) {
-    if (!(config.thermal.tau_s > 0.0)) return "thermal tau must be > 0";
-    if (!(config.thermal.trip_c > config.thermal.release_c)) {
-      return "thermal trip temperature must exceed the release temperature "
-             "(the hysteresis gap prevents throttle flapping)";
-    }
+  if (config.thermal.enabled &&
+      !(config.thermal.trip_c > config.thermal.release_c)) {
+    return "thermal trip temperature must exceed the release temperature "
+           "(the hysteresis gap prevents throttle flapping)";
   }
   return {};
 }
@@ -245,54 +242,14 @@ FleetResult reduce_fleet_replicas(
 }
 
 FleetResult run_fleet(const FleetConfig& config) {
-  if (config.experiment.seeds <= 0) {
-    throw std::invalid_argument(
-        "run_fleet: experiment.seeds must be >= 1, got " +
-        std::to_string(config.experiment.seeds));
-  }
+  const std::string problem = validate_fleet_config(config);
+  if (!problem.empty()) throw std::invalid_argument("run_fleet: " + problem);
   std::vector<fleet::FleetRun> replicas;
   replicas.reserve(static_cast<std::size_t>(config.experiment.seeds));
   for (int s = 0; s < config.experiment.seeds; ++s) {
     replicas.push_back(run_fleet_seed_replica(config, s));
   }
   return reduce_fleet_replicas(config, replicas);
-}
-
-std::string canonical_fleet_key(const FleetConfig& config) {
-  std::string key = canonical_config_key(config.experiment);
-  key += "|alloc=" +
-         std::to_string(static_cast<int>(config.allocator.policy)) + ":" +
-         format_exact(config.allocator.cap_w);
-  key += "|thermal=";
-  if (config.thermal.enabled) {
-    key += format_exact(config.thermal.ambient_c) + ":" +
-           format_exact(config.thermal.tau_s) + ":" +
-           format_exact(config.thermal.trip_c) + ":" +
-           format_exact(config.thermal.release_c) + ":" +
-           std::to_string(config.thermal.throttle_pstate) + ":" +
-           format_exact(config.thermal.initial_c);
-  } else {
-    key += "off";
-  }
-  key += "|slice=" + format_exact(config.slice_s);
-  key += "|pstates=" + std::to_string(config.pstates);
-  for (const dvfs::WorkloadTimeline& timeline : config.timelines) {
-    key += "|tl=" + canonical_timeline_key(timeline);
-  }
-  for (const FleetDeviceConfig& device : config.devices) {
-    key += "|dev=";
-    key += gpupower::gpusim::name(device.gpu);
-    key += ':';
-    key += canonical_governor_key(device.governor);
-    key += ':';
-    key += std::to_string(device.timeline);
-    key += ':';
-    key += std::to_string(device.priority);
-  }
-  for (const PatternSpec& pattern : config.phase_patterns) {
-    key += "|pp=" + pattern_raw_key(pattern);
-  }
-  return key;
 }
 
 }  // namespace gpupower::core

@@ -98,10 +98,10 @@ struct FleetResult {
 };
 
 /// Replays one seed replica's fleet.  Pure and thread-safe, like
-/// run_seed_replica.  Throws std::invalid_argument on an invalid config
-/// (no devices, missing timeline, out-of-range indices, non-positive
-/// slice or cap).  `memo`, when given, serves the per-seed activity walks
-/// (see replica_activity_variants); results are bit-identical either way.
+/// run_seed_replica.  Throws std::invalid_argument when
+/// validate_fleet_config rejects the config.  `memo`, when given, serves
+/// the per-seed activity walks (see replica_activity_variants); results
+/// are bit-identical either way.
 [[nodiscard]] gpupower::gpusim::fleet::FleetRun run_fleet_seed_replica(
     const FleetConfig& config, int seed_index, ActivityMemo* memo = nullptr);
 
@@ -118,11 +118,13 @@ struct FleetResult {
 /// bit-identical FleetResults.
 [[nodiscard]] std::string canonical_fleet_key(const FleetConfig& config);
 
-/// Validates the cross-references a hand-assembled config can get wrong
-/// (devices present, timeline indices in range, phase-pattern references
-/// resolvable, slice/cap/pstates in range).  Returns an empty string when
-/// valid, else the first problem — shared by run_fleet_seed_replica and
-/// the fleet kind's validate hook (ExperimentEngine::submit).
+/// Validates every field range (core/config_fields.hpp) and the
+/// cross-references a hand-assembled config can get wrong (devices
+/// present, timeline indices in range, phase-pattern references
+/// resolvable, thermal hysteresis).  Returns an empty string when valid,
+/// else the first problem — shared by FleetConfigBuilder, the spec parser,
+/// run_fleet_seed_replica and the fleet kind's validate hook
+/// (ExperimentEngine::submit).
 [[nodiscard]] std::string validate_fleet_config(const FleetConfig& config);
 
 }  // namespace gpupower::core

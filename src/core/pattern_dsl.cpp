@@ -3,7 +3,8 @@
 #include <cctype>
 #include <charconv>
 #include <map>
-#include <sstream>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 namespace gpupower::core {
@@ -286,63 +287,80 @@ ParseResult parse_pattern(std::string_view text) {
   return result;
 }
 
-std::string to_dsl(const PatternSpec& spec) {
-  std::ostringstream ss;
+namespace {
+
+/// The one DSL writer; `num` sets the precision of every scalar.
+template <typename Num>
+std::string write_dsl(const PatternSpec& spec, Num num) {
+  std::string out;
   switch (spec.value) {
     case PatternSpec::Value::kGaussian:
-      ss << "gaussian(mean=" << spec.mean;
-      if (spec.sigma >= 0.0) ss << ", sigma=" << spec.sigma;
-      ss << ")";
+      out = "gaussian(mean=" + num(spec.mean);
       break;
     case PatternSpec::Value::kValueSet:
-      ss << "set(size=" << spec.set_size << ", mean=" << spec.mean;
-      if (spec.sigma >= 0.0) ss << ", sigma=" << spec.sigma;
-      ss << ")";
+      out = "set(size=" + std::to_string(spec.set_size) +
+            ", mean=" + num(spec.mean);
       break;
     case PatternSpec::Value::kConstant:
-      ss << "constant(mean=" << spec.mean;
-      if (spec.sigma >= 0.0) ss << ", sigma=" << spec.sigma;
-      ss << ")";
+      out = "constant(mean=" + num(spec.mean);
       break;
   }
+  if (spec.sigma >= 0.0) out += ", sigma=" + num(spec.sigma);
+  out += ")";
   switch (spec.place) {
     case PatternSpec::Place::kNone:
       break;
     case PatternSpec::Place::kSortRows:
-      ss << " | sort_rows(" << spec.sort_percent << "%)";
+      out += " | sort_rows(" + num(spec.sort_percent) + "%)";
       break;
     case PatternSpec::Place::kSortColumns:
-      ss << " | sort_cols(" << spec.sort_percent << "%)";
+      out += " | sort_cols(" + num(spec.sort_percent) + "%)";
       break;
     case PatternSpec::Place::kSortWithinRows:
-      ss << " | sort_within_rows(" << spec.sort_percent << "%)";
+      out += " | sort_within_rows(" + num(spec.sort_percent) + "%)";
       break;
     case PatternSpec::Place::kFullSort:
-      ss << " | full_sort()";
+      out += " | full_sort()";
       break;
   }
-  if (spec.sparsity > 0.0) ss << " | sparsity(" << spec.sparsity << ")";
+  if (spec.sparsity > 0.0) out += " | sparsity(" + num(spec.sparsity) + ")";
   switch (spec.bitop) {
     case PatternSpec::BitOp::kNone:
       break;
     case PatternSpec::BitOp::kFlipRandom:
-      ss << " | flip_bits(" << spec.bit_fraction << ")";
+      out += " | flip_bits(" + num(spec.bit_fraction) + ")";
       break;
     case PatternSpec::BitOp::kRandomizeLow:
-      ss << " | rand_lsb(" << spec.bit_fraction << ")";
+      out += " | rand_lsb(" + num(spec.bit_fraction) + ")";
       break;
     case PatternSpec::BitOp::kRandomizeHigh:
-      ss << " | rand_msb(" << spec.bit_fraction << ")";
+      out += " | rand_msb(" + num(spec.bit_fraction) + ")";
       break;
     case PatternSpec::BitOp::kZeroLow:
-      ss << " | zero_lsb(" << spec.bit_fraction << ")";
+      out += " | zero_lsb(" + num(spec.bit_fraction) + ")";
       break;
     case PatternSpec::BitOp::kZeroHigh:
-      ss << " | zero_msb(" << spec.bit_fraction << ")";
+      out += " | zero_msb(" + num(spec.bit_fraction) + ")";
       break;
   }
-  if (!spec.transpose_b) ss << " | no_transpose()";
-  return ss.str();
+  if (!spec.transpose_b) out += " | no_transpose()";
+  return out;
+}
+
+std::string format_with(const char* format, double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, format, v);
+  return buf;
+}
+
+}  // namespace
+
+std::string to_dsl(const PatternSpec& spec) {
+  return write_dsl(spec, [](double v) { return format_with("%g", v); });
+}
+
+std::string to_exact_dsl(const PatternSpec& spec) {
+  return write_dsl(spec, [](double v) { return format_with("%.17g", v); });
 }
 
 }  // namespace gpupower::core

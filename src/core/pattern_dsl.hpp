@@ -42,7 +42,12 @@ struct ParseResult {
 [[nodiscard]] ParseResult parse_pattern(std::string_view text);
 
 /// Serialises a spec back into canonical DSL (parse(to_dsl(s)) == s for all
-/// representable specs — the round-trip property the tests pin).
+/// representable specs — the round-trip property the tests pin).  Scalars
+/// print at 6 significant digits: a display and cache-key form.
 [[nodiscard]] std::string to_dsl(const PatternSpec& spec);
+
+/// to_dsl at full %.17g precision, so parsing it reproduces every scalar
+/// exactly (the spec documents' pattern form).
+[[nodiscard]] std::string to_exact_dsl(const PatternSpec& spec);
 
 }  // namespace gpupower::core

@@ -7,7 +7,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/config_builder.hpp"
+#include "core/config_fields.hpp"
 #include "core/report.hpp"
 
 namespace gpupower::core {
@@ -32,17 +32,10 @@ std::vector<Replica> take_replicas(std::span<ScenarioReplica> replicas) {
   return typed;
 }
 
-std::string validate_seeds(int seeds) {
-  if (seeds <= 0) {
-    return "experiment.seeds must be >= 1, got " + std::to_string(seeds);
-  }
-  return {};
-}
-
 // --- static experiment hooks -----------------------------------------------
 
 std::string static_validate(const ScenarioConfig& config) {
-  return validate_seeds(config.static_config().seeds);
+  return fields::check_fields(config.static_config(), "experiment");
 }
 
 std::string static_key(const ScenarioConfig& config) {
@@ -98,8 +91,6 @@ analysis::JsonValue dvfs_json(const ScenarioConfig& config,
 // --- fleet hooks -----------------------------------------------------------
 
 std::string fleet_validate(const ScenarioConfig& config) {
-  const std::string seeds = validate_seeds(config.fleet().experiment.seeds);
-  if (!seeds.empty()) return seeds;
   return validate_fleet_config(config.fleet());
 }
 

@@ -1,9 +1,6 @@
 #include "core/spec.hpp"
 
-#include <cctype>
-#include <cstdio>
 #include <fstream>
-#include <initializer_list>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -16,774 +13,194 @@
 #include "core/figures.hpp"
 #include "core/obs/obs.hpp"
 #include "core/pattern_dsl.hpp"
-#include "gpusim/device.hpp"
-#include "gpusim/dvfs/dsl_util.hpp"
 
 namespace gpupower::core {
 namespace {
 
 using analysis::JsonValue;
-using gpupower::gpusim::dvfs::detail::format_exact;
 namespace dvfs = gpupower::gpusim::dvfs;
-namespace fleet = gpupower::gpusim::fleet;
 
 /// Campaign grids above this are almost certainly a typo'd axis, not a
 /// plan (the engine would happily chew through them for hours).
 constexpr std::size_t kMaxCampaignPoints = 4096;
 
-struct Ctx {
-  std::string error;
+using fields::Ctx;
+using fields::check_keys;
+using fields::join_path;
+using fields::read_string;
 
-  bool fail(std::string_view path, std::string_view message) {
-    if (error.empty()) {
-      error = path.empty() ? std::string(message)
-                           : std::string(path) + ": " + std::string(message);
-    }
-    return false;
-  }
-};
-
-std::string join_path(std::string_view parent, std::string_view key) {
-  if (parent.empty()) return std::string(key);
-  return std::string(parent) + "." + std::string(key);
+bool parse_experiment(const JsonValue& doc, Ctx& ctx, ExperimentConfig& out) {
+  const JsonValue* v = doc.find("experiment");
+  return v == nullptr || fields::read_fields(*v, "experiment", ctx, out);
 }
 
-bool check_keys(const JsonValue& obj, std::string_view path,
-                std::initializer_list<std::string_view> allowed, Ctx& ctx) {
-  for (const std::string& key : obj.keys()) {
-    bool known = false;
-    for (const std::string_view candidate : allowed) {
-      if (key == candidate) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::string expected;
-      for (const std::string_view candidate : allowed) {
-        if (!expected.empty()) expected += ", ";
-        expected += candidate;
-      }
-      return ctx.fail(path.empty() ? "spec" : path,
-                      "unknown key '" + key + "' (expected one of: " +
-                          expected + ")");
-    }
-  }
-  return true;
+JsonValue governor_json(const dvfs::GovernorConfig& config) {
+  JsonValue g = JsonValue::object();
+  fields::write_fields(config, g);
+  return g;
 }
 
-bool read_string(const JsonValue& v, std::string_view path, Ctx& ctx,
-                 std::string& out) {
-  if (!v.is_string()) return ctx.fail(path, "expected a string");
-  out = v.as_string();
-  return true;
-}
-
-bool read_number(const JsonValue& v, std::string_view path, Ctx& ctx,
-                 double& out) {
-  if (!v.is_number()) return ctx.fail(path, "expected a number");
-  out = v.as_number();
-  return true;
-}
-
-bool read_int(const JsonValue& v, std::string_view path, Ctx& ctx,
-              long long& out) {
-  if (!v.is_number()) return ctx.fail(path, "expected an integer");
-  const double value = v.as_number();
-  // Range-check before the cast: float-to-integer conversion outside the
-  // target range is undefined behaviour, so a spec saying 1e300 must be
-  // rejected here, not by whatever the hardware happens to produce.
-  constexpr double kMax = 9223372036854775808.0;  // 2^63
-  if (!(value > -kMax && value < kMax)) {
-    return ctx.fail(path, "expected an integer");
-  }
-  out = static_cast<long long>(value);
-  if (static_cast<double>(out) != value) {
-    return ctx.fail(path, "expected an integer");
-  }
-  return true;
-}
-
-bool read_bool(const JsonValue& v, std::string_view path, Ctx& ctx,
-               bool& out) {
-  const bool fallback_true = v.as_boolean(true);
-  const bool fallback_false = v.as_boolean(false);
-  if (fallback_true != fallback_false) {
-    return ctx.fail(path, "expected true or false");
-  }
-  out = fallback_true;
-  return true;
-}
-
-// --- gpu / dtype spellings --------------------------------------------------
-
-struct GpuSpelling {
-  std::string_view key;
-  gpupower::gpusim::GpuModel model;
-};
-
-constexpr GpuSpelling kGpuSpellings[] = {
-    {"a100", gpupower::gpusim::GpuModel::kA100PCIe},
-    {"h100", gpupower::gpusim::GpuModel::kH100SXM},
-    {"v100", gpupower::gpusim::GpuModel::kV100SXM2},
-    {"rtx6000", gpupower::gpusim::GpuModel::kRTX6000},
-};
-
-bool parse_gpu(std::string_view text, gpupower::gpusim::GpuModel& out) {
-  std::string lowered(text);
-  for (char& c : lowered) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  for (const GpuSpelling& spelling : kGpuSpellings) {
-    if (lowered == spelling.key) {
-      out = spelling.model;
-      return true;
-    }
-  }
-  // Also accept the full descriptor names ("NVIDIA A100 PCIe 40GB").
-  for (const auto model : gpupower::gpusim::kAllGpuModels) {
-    if (text == gpupower::gpusim::name(model)) {
-      out = model;
-      return true;
-    }
-  }
-  return false;
-}
-
-std::string_view gpu_key(gpupower::gpusim::GpuModel model) {
-  for (const GpuSpelling& spelling : kGpuSpellings) {
-    if (spelling.model == model) return spelling.key;
-  }
-  return "a100";
-}
-
-std::string_view dtype_key(gpupower::numeric::DType dtype) {
-  using gpupower::numeric::DType;
-  switch (dtype) {
-    case DType::kFP32:
-      return "fp32";
-    case DType::kFP16:
-      return "fp16";
-    case DType::kFP16T:
-      return "fp16t";
-    case DType::kINT8:
-      return "int8";
-  }
-  return "fp32";
-}
-
-// --- exact pattern serialisation --------------------------------------------
-
-/// to_dsl mirrors the pattern structure but prints at ostream (~6 digit)
-/// precision — fine for display, lossy for round-trips.  Spec documents
-/// need parse(dump(config)) to reproduce the exact canonical key, so this
-/// serialiser emits every scalar at full %.17g precision (the DSL parser
-/// reads doubles with from_chars, so exponent forms parse fine).
-std::string exact_pattern_dsl(const PatternSpec& spec) {
-  std::string out;
-  switch (spec.value) {
-    case PatternSpec::Value::kGaussian:
-      out = "gaussian(mean=" + format_exact(spec.mean);
-      break;
-    case PatternSpec::Value::kValueSet:
-      out = "set(size=" + std::to_string(spec.set_size) +
-            ", mean=" + format_exact(spec.mean);
-      break;
-    case PatternSpec::Value::kConstant:
-      out = "constant(mean=" + format_exact(spec.mean);
-      break;
-  }
-  if (spec.sigma >= 0.0) out += ", sigma=" + format_exact(spec.sigma);
-  out += ")";
-  switch (spec.place) {
-    case PatternSpec::Place::kNone:
-      break;
-    case PatternSpec::Place::kSortRows:
-      out += " | sort_rows(" + format_exact(spec.sort_percent) + "%)";
-      break;
-    case PatternSpec::Place::kSortColumns:
-      out += " | sort_cols(" + format_exact(spec.sort_percent) + "%)";
-      break;
-    case PatternSpec::Place::kSortWithinRows:
-      out += " | sort_within_rows(" + format_exact(spec.sort_percent) + "%)";
-      break;
-    case PatternSpec::Place::kFullSort:
-      out += " | full_sort()";
-      break;
-  }
-  if (spec.sparsity > 0.0) {
-    out += " | sparsity(" + format_exact(spec.sparsity) + ")";
-  }
-  switch (spec.bitop) {
-    case PatternSpec::BitOp::kNone:
-      break;
-    case PatternSpec::BitOp::kFlipRandom:
-      out += " | flip_bits(" + format_exact(spec.bit_fraction) + ")";
-      break;
-    case PatternSpec::BitOp::kRandomizeLow:
-      out += " | rand_lsb(" + format_exact(spec.bit_fraction) + ")";
-      break;
-    case PatternSpec::BitOp::kRandomizeHigh:
-      out += " | rand_msb(" + format_exact(spec.bit_fraction) + ")";
-      break;
-    case PatternSpec::BitOp::kZeroLow:
-      out += " | zero_lsb(" + format_exact(spec.bit_fraction) + ")";
-      break;
-    case PatternSpec::BitOp::kZeroHigh:
-      out += " | zero_msb(" + format_exact(spec.bit_fraction) + ")";
-      break;
-  }
-  if (!spec.transpose_b) out += " | no_transpose()";
-  return out;
-}
-
-// --- experiment block -------------------------------------------------------
-
-bool parse_experiment(const JsonValue* obj, std::string_view path, Ctx& ctx,
-                      ExperimentConfig& out) {
-  ExperimentConfigBuilder builder;
-  if (obj != nullptr) {
-    if (!obj->is_object()) return ctx.fail(path, "expected an object");
-    if (!check_keys(*obj, path,
-                    {"gpu", "dtype", "n", "seeds", "iterations", "base_seed",
-                     "pattern", "sampling", "sampler", "variation"},
-                    ctx)) {
-      return false;
-    }
-    if (const JsonValue* v = obj->find("gpu")) {
-      std::string text;
-      if (!read_string(*v, join_path(path, "gpu"), ctx, text)) return false;
-      gpupower::gpusim::GpuModel model;
-      if (!parse_gpu(text, model)) {
-        return ctx.fail(join_path(path, "gpu"),
-                        "unknown gpu '" + text +
-                            "' (expected a100 | h100 | v100 | rtx6000)");
-      }
-      builder.gpu(model);
-    }
-    if (const JsonValue* v = obj->find("dtype")) {
-      std::string text;
-      if (!read_string(*v, join_path(path, "dtype"), ctx, text)) return false;
-      builder.dtype(text);
-    }
-    if (const JsonValue* v = obj->find("n")) {
-      long long n = 0;
-      if (!read_int(*v, join_path(path, "n"), ctx, n)) return false;
-      builder.n(static_cast<std::size_t>(n));
-    }
-    if (const JsonValue* v = obj->find("seeds")) {
-      long long seeds = 0;
-      if (!read_int(*v, join_path(path, "seeds"), ctx, seeds)) return false;
-      builder.seeds(static_cast<int>(seeds));
-    }
-    if (const JsonValue* v = obj->find("iterations")) {
-      long long iterations = 0;
-      if (!read_int(*v, join_path(path, "iterations"), ctx, iterations)) {
-        return false;
-      }
-      builder.iterations(static_cast<std::size_t>(iterations));
-    }
-    if (const JsonValue* v = obj->find("base_seed")) {
-      long long seed = 0;
-      if (!read_int(*v, join_path(path, "base_seed"), ctx, seed)) return false;
-      builder.base_seed(static_cast<std::uint64_t>(seed));
-    }
-    if (const JsonValue* v = obj->find("pattern")) {
-      std::string dsl;
-      if (!read_string(*v, join_path(path, "pattern"), ctx, dsl)) return false;
-      builder.pattern(dsl);
-    }
-    if (const JsonValue* v = obj->find("sampling")) {
-      const std::string sampling_path = join_path(path, "sampling");
-      if (!v->is_object()) return ctx.fail(sampling_path, "expected an object");
-      if (!check_keys(*v, sampling_path, {"tiles", "k_fraction", "seed"},
-                      ctx)) {
-        return false;
-      }
-      gpupower::gpusim::SamplingPlan plan;
-      if (const JsonValue* f = v->find("tiles")) {
-        long long tiles = 0;
-        if (!read_int(*f, join_path(sampling_path, "tiles"), ctx, tiles)) {
-          return false;
-        }
-        plan.max_tiles = static_cast<std::size_t>(tiles);
-      }
-      if (const JsonValue* f = v->find("k_fraction")) {
-        if (!read_number(*f, join_path(sampling_path, "k_fraction"), ctx,
-                         plan.k_fraction)) {
-          return false;
-        }
-      }
-      if (const JsonValue* f = v->find("seed")) {
-        long long seed = 0;
-        if (!read_int(*f, join_path(sampling_path, "seed"), ctx, seed)) {
-          return false;
-        }
-        plan.seed = static_cast<std::uint64_t>(seed);
-      }
-      builder.sampling(plan);
-    }
-    if (const JsonValue* v = obj->find("sampler")) {
-      const std::string sampler_path = join_path(path, "sampler");
-      if (!v->is_object()) return ctx.fail(sampler_path, "expected an object");
-      if (!check_keys(*v, sampler_path,
-                      {"period_s", "warmup_trim_s", "ramp_tau_s",
-                       "noise_sigma_w", "seed"},
-                      ctx)) {
-        return false;
-      }
-      telemetry::SamplerConfig sampler;
-      if (const JsonValue* f = v->find("period_s")) {
-        if (!read_number(*f, join_path(sampler_path, "period_s"), ctx,
-                         sampler.period_s)) {
-          return false;
-        }
-      }
-      if (const JsonValue* f = v->find("warmup_trim_s")) {
-        if (!read_number(*f, join_path(sampler_path, "warmup_trim_s"), ctx,
-                         sampler.warmup_trim_s)) {
-          return false;
-        }
-      }
-      if (const JsonValue* f = v->find("ramp_tau_s")) {
-        if (!read_number(*f, join_path(sampler_path, "ramp_tau_s"), ctx,
-                         sampler.ramp_tau_s)) {
-          return false;
-        }
-      }
-      if (const JsonValue* f = v->find("noise_sigma_w")) {
-        if (!read_number(*f, join_path(sampler_path, "noise_sigma_w"), ctx,
-                         sampler.noise_sigma_w)) {
-          return false;
-        }
-      }
-      if (const JsonValue* f = v->find("seed")) {
-        long long seed = 0;
-        if (!read_int(*f, join_path(sampler_path, "seed"), ctx, seed)) {
-          return false;
-        }
-        sampler.seed = static_cast<std::uint64_t>(seed);
-      }
-      builder.sampler(sampler);
-    }
-    if (const JsonValue* v = obj->find("variation")) {
-      const std::string variation_path = join_path(path, "variation");
-      if (!v->is_object()) {
-        return ctx.fail(variation_path, "expected an object");
-      }
-      if (!check_keys(*v, variation_path,
-                      {"sigma_fraction", "instance", "per_seed"}, ctx)) {
-        return false;
-      }
-      gpupower::gpusim::ProcessVariation variation;
-      if (const JsonValue* f = v->find("sigma_fraction")) {
-        if (!read_number(*f, join_path(variation_path, "sigma_fraction"), ctx,
-                         variation.sigma_fraction)) {
-          return false;
-        }
-      }
-      if (const JsonValue* f = v->find("instance")) {
-        long long instance = 0;
-        if (!read_int(*f, join_path(variation_path, "instance"), ctx,
-                      instance)) {
-          return false;
-        }
-        variation.instance = static_cast<std::uint64_t>(instance);
-      }
-      if (const JsonValue* f = v->find("per_seed")) {
-        if (!read_bool(*f, join_path(variation_path, "per_seed"), ctx,
-                       variation.per_seed)) {
-          return false;
-        }
-      }
-      builder.variation(variation);
-    }
-  }
-  if (!builder.valid()) {
-    return ctx.fail(path.empty() ? "experiment" : path, builder.error());
-  }
-  out = builder.build();
-  return true;
-}
-
-// --- governor / thermal blocks ----------------------------------------------
-
-bool parse_governor_field(const JsonValue& v, std::string_view path, Ctx& ctx,
-                          dvfs::GovernorConfig& out) {
-  if (v.is_string()) {
-    const auto parsed = dvfs::parse_governor(v.as_string());
-    if (!parsed.ok) {
-      return ctx.fail(path, "governor DSL error at offset " +
-                                std::to_string(parsed.error_pos) + ": " +
-                                parsed.error);
-    }
-    out = parsed.config;
-    return true;
-  }
-  if (!v.is_object()) {
-    return ctx.fail(path, "expected a governor DSL string or object");
-  }
-  if (!check_keys(v, path,
-                  {"policy", "fixed_pstate", "boost_util", "boost_hold_s",
-                   "low_util", "low_hold_s"},
-                  ctx)) {
-    return false;
-  }
-  dvfs::GovernorConfig config;
-  if (const JsonValue* f = v.find("policy")) {
-    std::string policy;
-    if (!read_string(*f, join_path(path, "policy"), ctx, policy)) return false;
-    if (policy == "fixed") {
-      config.policy = dvfs::GovernorConfig::Policy::kFixed;
-    } else if (policy == "utilization") {
-      config.policy = dvfs::GovernorConfig::Policy::kUtilization;
-    } else if (policy == "oracle") {
-      config.policy = dvfs::GovernorConfig::Policy::kOracle;
-    } else {
-      return ctx.fail(join_path(path, "policy"),
-                      "unknown policy '" + policy +
-                          "' (expected fixed | utilization | oracle)");
-    }
-  }
-  if (const JsonValue* f = v.find("fixed_pstate")) {
-    long long pstate = 0;
-    if (!read_int(*f, join_path(path, "fixed_pstate"), ctx, pstate)) {
-      return false;
-    }
-    config.fixed_pstate = static_cast<int>(pstate);
-  }
-  if (const JsonValue* f = v.find("boost_util")) {
-    if (!read_number(*f, join_path(path, "boost_util"), ctx,
-                     config.boost_util)) {
-      return false;
-    }
-  }
-  if (const JsonValue* f = v.find("boost_hold_s")) {
-    if (!read_number(*f, join_path(path, "boost_hold_s"), ctx,
-                     config.boost_hold_s)) {
-      return false;
-    }
-  }
-  if (const JsonValue* f = v.find("low_util")) {
-    if (!read_number(*f, join_path(path, "low_util"), ctx, config.low_util)) {
-      return false;
-    }
-  }
-  if (const JsonValue* f = v.find("low_hold_s")) {
-    if (!read_number(*f, join_path(path, "low_hold_s"), ctx,
-                     config.low_hold_s)) {
-      return false;
-    }
-  }
-  out = config;
-  return true;
-}
-
-bool parse_thermal(const JsonValue& v, std::string_view path, Ctx& ctx,
-                   fleet::ThermalConfig& out) {
-  if (!v.is_object()) return ctx.fail(path, "expected an object");
-  if (!check_keys(v, path,
-                  {"enabled", "ambient_c", "tau_s", "trip_c", "release_c",
-                   "throttle_pstate", "initial_c"},
-                  ctx)) {
-    return false;
-  }
-  fleet::ThermalConfig config;
-  if (const JsonValue* f = v.find("enabled")) {
-    if (!read_bool(*f, join_path(path, "enabled"), ctx, config.enabled)) {
-      return false;
-    }
-  }
-  if (const JsonValue* f = v.find("ambient_c")) {
-    if (!read_number(*f, join_path(path, "ambient_c"), ctx,
-                     config.ambient_c)) {
-      return false;
-    }
-  }
-  if (const JsonValue* f = v.find("tau_s")) {
-    if (!read_number(*f, join_path(path, "tau_s"), ctx, config.tau_s)) {
-      return false;
-    }
-  }
-  if (const JsonValue* f = v.find("trip_c")) {
-    if (!read_number(*f, join_path(path, "trip_c"), ctx, config.trip_c)) {
-      return false;
-    }
-  }
-  if (const JsonValue* f = v.find("release_c")) {
-    if (!read_number(*f, join_path(path, "release_c"), ctx,
-                     config.release_c)) {
-      return false;
-    }
-  }
-  if (const JsonValue* f = v.find("throttle_pstate")) {
-    long long pstate = 0;
-    if (!read_int(*f, join_path(path, "throttle_pstate"), ctx, pstate)) {
-      return false;
-    }
-    config.throttle_pstate = static_cast<int>(pstate);
-  }
-  if (const JsonValue* f = v.find("initial_c")) {
-    if (!read_number(*f, join_path(path, "initial_c"), ctx,
-                     config.initial_c)) {
-      return false;
-    }
-  }
-  out = config;
-  return true;
-}
-
-bool parse_phase_patterns(const JsonValue* v, std::string_view path, Ctx& ctx,
-                          std::vector<std::string>& out) {
-  if (v == nullptr) return true;
-  if (!v->is_array()) {
-    return ctx.fail(path, "expected an array of pattern DSL strings");
-  }
-  for (std::size_t i = 0; i < v->size(); ++i) {
-    std::string dsl;
-    std::string index = "[";
-    index += std::to_string(i);
-    index += ']';
-    if (!read_string(v->at(i), join_path(path, index), ctx, dsl)) {
-      return false;
-    }
-    out.push_back(std::move(dsl));
-  }
+/// The cross-field checks (validate_scenario) every parsed config passes.
+bool finish(ScenarioConfig config, Ctx& ctx, ScenarioConfig& out) {
+  const std::string problem = validate_scenario(config);
+  if (!problem.empty()) return ctx.fail("", problem);
+  out = std::move(config);
   return true;
 }
 
 // --- per-kind scenario parsing ----------------------------------------------
 
 bool parse_static(const JsonValue& doc, Ctx& ctx, ScenarioConfig& out) {
-  if (!check_keys(doc, "", {"scenario", "experiment"}, ctx)) return false;
   ExperimentConfig experiment;
-  if (!parse_experiment(doc.find("experiment"), "experiment", ctx,
-                        experiment)) {
-    return false;
-  }
-  out = ScenarioConfig(std::move(experiment));
-  return true;
+  return check_keys(doc, "", {"scenario", "experiment"}, ctx) &&
+         parse_experiment(doc, ctx, experiment) &&
+         finish(std::move(experiment), ctx, out);
 }
 
 bool parse_dvfs(const JsonValue& doc, Ctx& ctx, ScenarioConfig& out) {
-  if (!check_keys(doc, "",
-                  {"scenario", "experiment", "governor", "timeline",
-                   "phase_patterns", "slice_s", "pstates"},
-                  ctx)) {
+  DvfsConfig config;
+  if (!fields::read_fields(
+          doc, "", ctx, config,
+          {"scenario", "experiment", "governor", "timeline"}) ||
+      !parse_experiment(doc, ctx, config.experiment)) {
     return false;
   }
-  ExperimentConfig experiment;
-  if (!parse_experiment(doc.find("experiment"), "experiment", ctx,
-                        experiment)) {
-    return false;
-  }
-  DvfsConfigBuilder builder;
-  builder.experiment(experiment);
   if (const JsonValue* v = doc.find("governor")) {
-    dvfs::GovernorConfig governor;
-    if (!parse_governor_field(*v, "governor", ctx, governor)) return false;
-    builder.governor(governor);
+    if (!fields::read_governor(v, "governor", ctx, config.governor)) {
+      return false;
+    }
   }
   const JsonValue* timeline = doc.find("timeline");
   if (timeline == nullptr) {
     return ctx.fail("timeline",
                     "required for a dvfs scenario (a workload to replay)");
   }
-  {
-    std::string dsl;
-    if (!read_string(*timeline, "timeline", ctx, dsl)) return false;
-    builder.timeline(dsl);
+  return fields::read_timeline(timeline, "timeline", ctx, config.timeline) &&
+         finish(std::move(config), ctx, out);
+}
+
+bool parse_device(const JsonValue& entry, const std::string& path, Ctx& ctx,
+                  FleetDeviceConfig& out) {
+  if (!entry.is_object()) return ctx.fail(path, "expected an object");
+  if (!check_keys(entry, path, {"gpu", "governor", "timeline", "priority"},
+                  ctx)) {
+    return false;
   }
-  {
-    std::vector<std::string> patterns;
-    if (!parse_phase_patterns(doc.find("phase_patterns"), "phase_patterns",
-                              ctx, patterns)) {
+  if (const JsonValue* f = entry.find("gpu")) {
+    if (!fields::read_gpu(f, join_path(path, "gpu"), ctx, out.gpu)) {
       return false;
     }
-    for (const std::string& dsl : patterns) builder.add_phase_pattern(dsl);
   }
-  if (const JsonValue* v = doc.find("slice_s")) {
-    double slice = 0.0;
-    if (!read_number(*v, "slice_s", ctx, slice)) return false;
-    builder.slice(slice);
+  if (const JsonValue* f = entry.find("governor")) {
+    if (!fields::read_governor(f, join_path(path, "governor"), ctx,
+                               out.governor)) {
+      return false;
+    }
   }
-  if (const JsonValue* v = doc.find("pstates")) {
-    long long pstates = 0;
-    if (!read_int(*v, "pstates", ctx, pstates)) return false;
-    builder.pstates(static_cast<int>(pstates));
+  if (const JsonValue* f = entry.find("timeline")) {
+    if (!fields::read_int(f, join_path(path, "timeline"), ctx,
+                          fields::kIntRange, out.timeline)) {
+      return false;
+    }
   }
-  if (!builder.valid()) return ctx.fail("", builder.error());
-  out = ScenarioConfig(builder.build());
+  if (const JsonValue* f = entry.find("priority")) {
+    if (!fields::read_int(f, join_path(path, "priority"), ctx,
+                          fields::kIntRange, out.priority)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Expands the staggered block: `count` devices, each replaying its own
+/// copy of the timeline delayed by i * stagger_s.
+bool parse_staggered(const JsonValue& v, Ctx& ctx,
+                     FleetConfigBuilder& builder) {
+  if (!v.is_object()) return ctx.fail("staggered", "expected an object");
+  if (!check_keys(v, "staggered",
+                  {"timeline", "count", "stagger_s", "gpu", "governor"},
+                  ctx)) {
+    return false;
+  }
+  const JsonValue* timeline_value = v.find("timeline");
+  if (timeline_value == nullptr) {
+    return ctx.fail("staggered.timeline", "required (a timeline DSL string)");
+  }
+  dvfs::WorkloadTimeline timeline;
+  if (!fields::read_timeline(timeline_value, "staggered.timeline", ctx,
+                             timeline)) {
+    return false;
+  }
+  const JsonValue* count_value = v.find("count");
+  if (count_value == nullptr) {
+    return ctx.fail("staggered.count", "required (device count)");
+  }
+  int count = 0;
+  if (!fields::read_int(count_value, "staggered.count", ctx,
+                        fields::kStaggeredCount, count)) {
+    return false;
+  }
+  double stagger_s = 0.0;
+  if (const JsonValue* f = v.find("stagger_s")) {
+    if (!fields::read_number(f, "staggered.stagger_s", ctx, stagger_s)) {
+      return false;
+    }
+  }
+  gpupower::gpusim::GpuModel gpu = gpupower::gpusim::GpuModel::kA100PCIe;
+  if (const JsonValue* f = v.find("gpu")) {
+    if (!fields::read_gpu(f, "staggered.gpu", ctx, gpu)) return false;
+  }
+  std::string governor_dsl = "utilization()";
+  if (const JsonValue* f = v.find("governor")) {
+    if (!read_string(f, "staggered.governor", ctx, governor_dsl)) {
+      return false;
+    }
+  }
+  builder.add_staggered_devices(timeline, count, stagger_s, gpu,
+                                governor_dsl);
   return true;
 }
 
 bool parse_fleet(const JsonValue& doc, Ctx& ctx, ScenarioConfig& out) {
-  if (!check_keys(doc, "",
-                  {"scenario", "experiment", "timelines", "devices",
-                   "staggered", "allocator", "cap_w", "thermal",
-                   "phase_patterns", "slice_s", "pstates"},
-                  ctx)) {
+  FleetConfig config;
+  if (!fields::read_fields(doc, "", ctx, config,
+                           {"scenario", "experiment", "timelines", "devices",
+                            "staggered"}) ||
+      !parse_experiment(doc, ctx, config.experiment)) {
     return false;
   }
-  ExperimentConfig experiment;
-  if (!parse_experiment(doc.find("experiment"), "experiment", ctx,
-                        experiment)) {
-    return false;
-  }
-  FleetConfigBuilder builder;
-  builder.experiment(experiment);
   if (const JsonValue* v = doc.find("timelines")) {
     if (!v->is_array()) {
       return ctx.fail("timelines", "expected an array of timeline DSL strings");
     }
+    config.timelines.resize(v->size());
     for (std::size_t i = 0; i < v->size(); ++i) {
-      std::string dsl;
-      if (!read_string(v->at(i), "timelines[" + std::to_string(i) + "]", ctx,
-                       dsl)) {
+      if (!fields::read_timeline(&v->at(i),
+                                 "timelines[" + std::to_string(i) + "]", ctx,
+                                 config.timelines[i])) {
         return false;
       }
-      builder.add_timeline(dsl);
     }
   }
   if (const JsonValue* v = doc.find("devices")) {
     if (!v->is_array()) {
       return ctx.fail("devices", "expected an array of device objects");
     }
+    config.devices.resize(v->size());
     for (std::size_t i = 0; i < v->size(); ++i) {
-      const std::string device_path = "devices[" + std::to_string(i) + "]";
-      const JsonValue& entry = v->at(i);
-      if (!entry.is_object()) {
-        return ctx.fail(device_path, "expected an object");
-      }
-      if (!check_keys(entry, device_path,
-                      {"gpu", "governor", "timeline", "priority"}, ctx)) {
+      if (!parse_device(v->at(i), "devices[" + std::to_string(i) + "]", ctx,
+                        config.devices[i])) {
         return false;
       }
-      FleetDeviceConfig device;
-      if (const JsonValue* f = entry.find("gpu")) {
-        std::string text;
-        if (!read_string(*f, join_path(device_path, "gpu"), ctx, text)) {
-          return false;
-        }
-        if (!parse_gpu(text, device.gpu)) {
-          return ctx.fail(join_path(device_path, "gpu"),
-                          "unknown gpu '" + text +
-                              "' (expected a100 | h100 | v100 | rtx6000)");
-        }
-      }
-      if (const JsonValue* f = entry.find("governor")) {
-        if (!parse_governor_field(*f, join_path(device_path, "governor"), ctx,
-                                  device.governor)) {
-          return false;
-        }
-      }
-      if (const JsonValue* f = entry.find("timeline")) {
-        long long timeline = 0;
-        if (!read_int(*f, join_path(device_path, "timeline"), ctx, timeline)) {
-          return false;
-        }
-        device.timeline = static_cast<int>(timeline);
-      }
-      if (const JsonValue* f = entry.find("priority")) {
-        long long priority = 0;
-        if (!read_int(*f, join_path(device_path, "priority"), ctx, priority)) {
-          return false;
-        }
-        device.priority = static_cast<int>(priority);
-      }
-      builder.add_device(device);
     }
   }
+  FleetConfigBuilder builder(std::move(config));
   if (const JsonValue* v = doc.find("staggered")) {
-    if (!v->is_object()) return ctx.fail("staggered", "expected an object");
-    if (!check_keys(*v, "staggered",
-                    {"timeline", "count", "stagger_s", "gpu", "governor"},
-                    ctx)) {
-      return false;
-    }
-    const JsonValue* timeline = v->find("timeline");
-    if (timeline == nullptr) {
-      return ctx.fail("staggered.timeline", "required (a timeline DSL string)");
-    }
-    std::string timeline_dsl;
-    if (!read_string(*timeline, "staggered.timeline", ctx, timeline_dsl)) {
-      return false;
-    }
-    const auto parsed_timeline = dvfs::parse_timeline(timeline_dsl);
-    if (!parsed_timeline.ok) {
-      return ctx.fail("staggered.timeline",
-                      "timeline DSL error at offset " +
-                          std::to_string(parsed_timeline.error_pos) + ": " +
-                          parsed_timeline.error);
-    }
-    const JsonValue* count_value = v->find("count");
-    if (count_value == nullptr) {
-      return ctx.fail("staggered.count", "required (device count)");
-    }
-    long long count = 0;
-    if (!read_int(*count_value, "staggered.count", ctx, count)) return false;
-    double stagger_s = 0.0;
-    if (const JsonValue* f = v->find("stagger_s")) {
-      if (!read_number(*f, "staggered.stagger_s", ctx, stagger_s)) {
-        return false;
-      }
-    }
-    gpupower::gpusim::GpuModel gpu = gpupower::gpusim::GpuModel::kA100PCIe;
-    if (const JsonValue* f = v->find("gpu")) {
-      std::string text;
-      if (!read_string(*f, "staggered.gpu", ctx, text)) return false;
-      if (!parse_gpu(text, gpu)) {
-        return ctx.fail("staggered.gpu",
-                        "unknown gpu '" + text +
-                            "' (expected a100 | h100 | v100 | rtx6000)");
-      }
-    }
-    std::string governor_dsl = "utilization()";
-    if (const JsonValue* f = v->find("governor")) {
-      if (!read_string(*f, "staggered.governor", ctx, governor_dsl)) {
-        return false;
-      }
-    }
-    builder.add_staggered_devices(parsed_timeline.timeline,
-                                  static_cast<int>(count), stagger_s, gpu,
-                                  governor_dsl);
+    if (!parse_staggered(*v, ctx, builder)) return false;
   }
-  if (const JsonValue* v = doc.find("allocator")) {
-    std::string policy;
-    if (!read_string(*v, "allocator", ctx, policy)) return false;
-    builder.allocator(policy);
-  }
-  if (const JsonValue* v = doc.find("cap_w")) {
-    if (!v->is_null()) {  // null spells "uncapped" explicitly
-      double cap = 0.0;
-      if (!read_number(*v, "cap_w", ctx, cap)) return false;
-      builder.cap(cap);
-    }
-  }
-  if (const JsonValue* v = doc.find("thermal")) {
-    fleet::ThermalConfig thermal;
-    if (!parse_thermal(*v, "thermal", ctx, thermal)) return false;
-    builder.thermal(thermal);
-  }
-  {
-    std::vector<std::string> patterns;
-    if (!parse_phase_patterns(doc.find("phase_patterns"), "phase_patterns",
-                              ctx, patterns)) {
-      return false;
-    }
-    for (const std::string& dsl : patterns) builder.add_phase_pattern(dsl);
-  }
-  if (const JsonValue* v = doc.find("slice_s")) {
-    double slice = 0.0;
-    if (!read_number(*v, "slice_s", ctx, slice)) return false;
-    builder.slice(slice);
-  }
-  if (const JsonValue* v = doc.find("pstates")) {
-    long long pstates = 0;
-    if (!read_int(*v, "pstates", ctx, pstates)) return false;
-    builder.pstates(static_cast<int>(pstates));
-  }
-  if (!builder.valid()) return ctx.fail("", builder.error());
+  // error(): the staggered expansion's, else validate_fleet_config's.
+  const std::string problem = builder.error();
+  if (!problem.empty()) return ctx.fail("", problem);
   out = ScenarioConfig(builder.build());
   return true;
 }
@@ -796,7 +213,7 @@ bool parse_single(const JsonValue& doc, Ctx& ctx, ScenarioConfig& out) {
                     "required (static | dvfs | fleet | campaign | dag)");
   }
   std::string kind_name;
-  if (!read_string(*scenario, "scenario", ctx, kind_name)) return false;
+  if (!read_string(scenario, "scenario", ctx, kind_name)) return false;
   if (kind_name == "campaign") {
     return ctx.fail("scenario",
                     "a campaign cannot nest inside another campaign's base");
@@ -840,7 +257,7 @@ bool parse_axis(const JsonValue& entry, std::string_view path, Ctx& ctx,
     return ctx.fail(join_path(path, "field"),
                     "required (a dotted path into the base spec)");
   }
-  if (!read_string(*field, join_path(path, "field"), ctx, out.field)) {
+  if (!read_string(field, join_path(path, "field"), ctx, out.field)) {
     return false;
   }
   if (out.field.empty()) {
@@ -857,7 +274,7 @@ bool parse_axis(const JsonValue& entry, std::string_view path, Ctx& ctx,
   }
   if (figure != nullptr) {
     std::string figure_name;
-    if (!read_string(*figure, join_path(path, "figure"), ctx, figure_name)) {
+    if (!read_string(figure, join_path(path, "figure"), ctx, figure_name)) {
       return false;
     }
     FigureId id;
@@ -888,7 +305,7 @@ bool parse_axis(const JsonValue& entry, std::string_view path, Ctx& ctx,
       }
       std::string label = value_label(*payload);
       if (const JsonValue* l = value.find("label")) {
-        if (!read_string(*l, join_path(value_path, "label"), ctx, label)) {
+        if (!read_string(l, join_path(value_path, "label"), ctx, label)) {
           return false;
         }
       }
@@ -911,10 +328,10 @@ bool parse_campaign(const JsonValue& doc, Ctx& ctx, ScenarioSpec& out) {
   }
   out.campaign = true;
   if (const JsonValue* v = doc.find("name")) {
-    if (!read_string(*v, "name", ctx, out.name)) return false;
+    if (!read_string(v, "name", ctx, out.name)) return false;
   }
   if (const JsonValue* v = doc.find("protocol")) {
-    if (!read_string(*v, "protocol", ctx, out.protocol)) return false;
+    if (!read_string(v, "protocol", ctx, out.protocol)) return false;
   }
   const JsonValue* base = doc.find("base");
   if (base == nullptr) {
@@ -1001,96 +418,12 @@ bool set_path(const JsonValue& in, std::string_view path,
   return true;
 }
 
-// --- serialisation ----------------------------------------------------------
-
-JsonValue experiment_to_json(const ExperimentConfig& config) {
-  JsonValue sampling = JsonValue::object();
-  sampling
-      .set("tiles",
-           JsonValue::integer(static_cast<long long>(config.sampling.max_tiles)))
-      .set("k_fraction", JsonValue::number(config.sampling.k_fraction))
-      .set("seed", JsonValue::integer(
-                       static_cast<long long>(config.sampling.seed)));
-
-  JsonValue sampler = JsonValue::object();
-  sampler.set("period_s", JsonValue::number(config.sampler.period_s))
-      .set("warmup_trim_s", JsonValue::number(config.sampler.warmup_trim_s))
-      .set("ramp_tau_s", JsonValue::number(config.sampler.ramp_tau_s))
-      .set("noise_sigma_w", JsonValue::number(config.sampler.noise_sigma_w))
-      .set("seed",
-           JsonValue::integer(static_cast<long long>(config.sampler.seed)));
-
-  JsonValue e = JsonValue::object();
-  e.set("gpu", JsonValue::string(gpu_key(config.gpu)))
-      .set("dtype", JsonValue::string(dtype_key(config.dtype)))
-      .set("n", JsonValue::integer(static_cast<long long>(config.n)))
-      .set("seeds", JsonValue::integer(config.seeds))
-      .set("iterations",
-           JsonValue::integer(static_cast<long long>(config.iterations)))
-      .set("base_seed",
-           JsonValue::integer(static_cast<long long>(config.base_seed)))
-      .set("pattern", JsonValue::string(exact_pattern_dsl(config.pattern)))
-      .set("sampling", std::move(sampling))
-      .set("sampler", std::move(sampler));
-  if (config.variation) {
-    JsonValue variation = JsonValue::object();
-    variation
-        .set("sigma_fraction",
-             JsonValue::number(config.variation->sigma_fraction))
-        .set("instance", JsonValue::integer(static_cast<long long>(
-                             config.variation->instance)))
-        .set("per_seed", JsonValue::boolean(config.variation->per_seed));
-    e.set("variation", std::move(variation));
-  }
-  return e;
-}
-
-JsonValue governor_to_json(const dvfs::GovernorConfig& config) {
-  const char* policy = "utilization";
-  if (config.policy == dvfs::GovernorConfig::Policy::kFixed) policy = "fixed";
-  if (config.policy == dvfs::GovernorConfig::Policy::kOracle) {
-    policy = "oracle";
-  }
-  JsonValue g = JsonValue::object();
-  g.set("policy", JsonValue::string(policy))
-      .set("fixed_pstate", JsonValue::integer(config.fixed_pstate))
-      .set("boost_util", JsonValue::number(config.boost_util))
-      .set("boost_hold_s", JsonValue::number(config.boost_hold_s))
-      .set("low_util", JsonValue::number(config.low_util))
-      .set("low_hold_s", JsonValue::number(config.low_hold_s));
-  return g;
-}
-
-JsonValue thermal_to_json(const fleet::ThermalConfig& config) {
-  JsonValue t = JsonValue::object();
-  t.set("enabled", JsonValue::boolean(config.enabled))
-      .set("ambient_c", JsonValue::number(config.ambient_c))
-      .set("tau_s", JsonValue::number(config.tau_s))
-      .set("trip_c", JsonValue::number(config.trip_c))
-      .set("release_c", JsonValue::number(config.release_c))
-      .set("throttle_pstate", JsonValue::integer(config.throttle_pstate))
-      .set("initial_c", JsonValue::number(config.initial_c));
-  return t;
-}
-
-JsonValue phase_patterns_to_json(const std::vector<PatternSpec>& patterns) {
-  JsonValue list = JsonValue::array();
-  for (const PatternSpec& pattern : patterns) {
-    list.push(JsonValue::string(exact_pattern_dsl(pattern)));
-  }
-  return list;
-}
-
 }  // namespace
 
 SpecParseResult parse_scenario_spec(const JsonValue& doc) {
   SpecParseResult result;
   Ctx ctx;
-  if (!doc.is_object()) {
-    ctx.fail("", "spec must be a JSON object");
-    result.error = ctx.error;
-    return result;
-  }
+  // A non-object has no "scenario" and fails in parse_single.
   const JsonValue* scenario = doc.find("scenario");
   std::string kind_name;
   if (scenario != nullptr && scenario->is_string()) {
@@ -1144,21 +477,20 @@ SpecParseResult load_scenario_spec(const std::string& path) {
 }
 
 analysis::JsonValue spec_to_json(const ScenarioConfig& config) {
+  JsonValue experiment = JsonValue::object();
+  fields::write_fields(config.experiment(), experiment);
   JsonValue doc = JsonValue::object();
-  doc.set("scenario", JsonValue::string(name(config.kind())));
+  doc.set("scenario", JsonValue::string(name(config.kind())))
+      .set("experiment", std::move(experiment));
   switch (config.kind()) {
     case ScenarioKind::kStatic:
-      doc.set("experiment", experiment_to_json(config.static_config()));
       break;
     case ScenarioKind::kDvfs: {
       const DvfsConfig& dvfs_config = config.dvfs();
-      doc.set("experiment", experiment_to_json(dvfs_config.experiment))
-          .set("governor", governor_to_json(dvfs_config.governor))
-          .set("timeline", JsonValue::string(dvfs::to_dsl(dvfs_config.timeline)))
-          .set("phase_patterns",
-               phase_patterns_to_json(dvfs_config.phase_patterns))
-          .set("slice_s", JsonValue::number(dvfs_config.slice_s))
-          .set("pstates", JsonValue::integer(dvfs_config.pstates));
+      doc.set("governor", governor_json(dvfs_config.governor))
+          .set("timeline",
+               JsonValue::string(dvfs::to_dsl(dvfs_config.timeline)));
+      fields::write_fields(dvfs_config, doc);
       break;
     }
     case ScenarioKind::kFleet: {
@@ -1170,25 +502,15 @@ analysis::JsonValue spec_to_json(const ScenarioConfig& config) {
       JsonValue devices = JsonValue::array();
       for (const FleetDeviceConfig& device : fleet_config.devices) {
         JsonValue entry = JsonValue::object();
-        entry.set("gpu", JsonValue::string(gpu_key(device.gpu)))
-            .set("governor", governor_to_json(device.governor))
+        entry.set("gpu", JsonValue::string(fields::gpu_key(device.gpu)))
+            .set("governor", governor_json(device.governor))
             .set("timeline", JsonValue::integer(device.timeline))
             .set("priority", JsonValue::integer(device.priority));
         devices.push(std::move(entry));
       }
-      doc.set("experiment", experiment_to_json(fleet_config.experiment))
-          .set("timelines", std::move(timelines))
-          .set("devices", std::move(devices))
-          .set("allocator",
-               JsonValue::string(fleet::name(fleet_config.allocator.policy)))
-          .set("cap_w", fleet_config.allocator.capped()
-                            ? JsonValue::number(fleet_config.allocator.cap_w)
-                            : JsonValue::null())
-          .set("thermal", thermal_to_json(fleet_config.thermal))
-          .set("phase_patterns",
-               phase_patterns_to_json(fleet_config.phase_patterns))
-          .set("slice_s", JsonValue::number(fleet_config.slice_s))
-          .set("pstates", JsonValue::integer(fleet_config.pstates));
+      doc.set("timelines", std::move(timelines))
+          .set("devices", std::move(devices));
+      fields::write_fields(fleet_config, doc);
       break;
     }
   }

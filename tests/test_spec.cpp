@@ -211,6 +211,56 @@ TEST(Spec, MissingTimelineFails) {
   EXPECT_NE(parsed.error.find("timeline"), std::string::npos) << parsed.error;
 }
 
+// Integers are range-checked against their field's row before they narrow:
+// 4294967297 must not wrap to 1, nor -5 to 2^64 - 5.
+TEST(Spec, OutOfRangeIntegersFailNamingTheDottedKey) {
+  const struct {
+    const char* spec;
+    const char* key;
+  } cases[] = {
+      {R"json({"scenario": "static",
+               "experiment": {"n": 64, "seeds": 4294967297}})json",
+       "experiment.seeds"},
+      {R"json({"scenario": "static",
+               "experiment": {"n": 64, "sampling": {"tiles": -5}}})json",
+       "experiment.sampling.tiles"},
+      {R"json({"scenario": "dvfs", "experiment": {"n": 64},
+               "timeline": "idle(dur=0.1)", "pstates": 4294967301})json",
+       "pstates"},
+      {R"json({"scenario": "dvfs", "experiment": {"n": 64},
+               "timeline": "idle(dur=0.1)",
+               "governor": {"policy": "fixed",
+                            "fixed_pstate": 4294967297}})json",
+       "governor.fixed_pstate"},
+      {R"json({"scenario": "fleet", "experiment": {"n": 64},
+               "timelines": ["idle(dur=0.1)"],
+               "devices": [{"timeline": 4294967296}]})json",
+       "devices[0].timeline"},
+      {R"json({"scenario": "fleet", "experiment": {"n": 64},
+               "timelines": ["idle(dur=0.1)"],
+               "devices": [{"priority": 4294967297}]})json",
+       "devices[0].priority"},
+      {R"json({"scenario": "fleet", "experiment": {"n": 64},
+               "staggered": {"timeline": "idle(dur=0.1)",
+                             "count": 4294967297}})json",
+       "staggered.count"},
+      {R"json({"scenario": "fleet", "experiment": {"n": 64},
+               "timelines": ["idle(dur=0.1)"], "devices": [{}],
+               "thermal": {"throttle_pstate": 4294967297}})json",
+       "thermal.throttle_pstate"},
+      {R"json({"scenario": "fleet", "experiment": {"n": 64},
+               "timelines": ["idle(dur=0.1)"], "devices": [{}],
+               "pstates": 4294967301})json",
+       "pstates"},
+  };
+  for (const auto& c : cases) {
+    const SpecParseResult parsed = parse_scenario_spec_text(c.spec);
+    ASSERT_FALSE(parsed.ok) << c.spec;
+    EXPECT_NE(parsed.error.find(c.key), std::string::npos)
+        << c.key << ": " << parsed.error;
+  }
+}
+
 TEST(Spec, MalformedJsonReportsByteOffset) {
   const SpecParseResult parsed =
       parse_scenario_spec_text(R"json({"scenario": "static",})json");
@@ -338,6 +388,20 @@ TEST(Scenario, SubmitRejectsInvalidConfigsViaRegistry) {
                std::invalid_argument);
   DvfsConfig dvfs;  // default: empty timeline
   dvfs.experiment = small_experiment();
+  EXPECT_THROW((void)engine.submit(ScenarioConfig(dvfs)),
+               std::invalid_argument);
+  // Hand-built configs get the same field ranges the builders and the spec
+  // parser apply.
+  config = small_experiment();
+  config.n = 1 << 20;
+  EXPECT_THROW((void)engine.submit(ScenarioConfig(config)),
+               std::invalid_argument);
+  config = small_experiment();
+  config.sampling.k_fraction = 7.0;
+  EXPECT_THROW((void)engine.submit(ScenarioConfig(config)),
+               std::invalid_argument);
+  dvfs = small_dvfs();
+  dvfs.slice_s = 1e-9;
   EXPECT_THROW((void)engine.submit(ScenarioConfig(dvfs)),
                std::invalid_argument);
   engine.wait_all();  // nothing outstanding; must not hang

@@ -62,6 +62,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -71,6 +72,8 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "analysis/json.hpp"
@@ -115,7 +118,7 @@ struct Options {
   int pstates = 5;
   // fleet command knobs
   int devices = 4;
-  double cap_w = 0.0;  ///< 0 = uncapped
+  std::optional<double> cap_w;  ///< unset = uncapped
   std::string allocator = "proportional";
   bool thermal = false;
   // spec front end (run/validate, and the dvfs/fleet shims)
@@ -223,6 +226,37 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// Reads a numeric flag value whole — the end-pointer check env.cpp applies
+/// to GPUPOWER_*: "--n 64x" is an error, never 64.  Integers must also fit
+/// `out` (no silent narrowing).
+template <typename T>
+bool number_flag(std::string_view flag, const char* text, T& out,
+                 std::string& error) {
+  if (text == nullptr) {
+    error = std::string(flag) + " needs a value";
+    return false;
+  }
+  char* end = nullptr;
+  if constexpr (std::is_floating_point_v<T>) {
+    const double value = std::strtod(text, &end);
+    if (end != text && *end == '\0') {
+      out = value;
+      return true;
+    }
+    error = std::string(flag) + " expects a number, got '" + text + "'";
+  } else {
+    errno = 0;
+    const long long value = std::strtoll(text, &end, 10);
+    if (end != text && *end == '\0' && errno == 0 &&
+        std::in_range<T>(value)) {
+      out = static_cast<T>(value);
+      return true;
+    }
+    error = std::string(flag) + " expects an integer, got '" + text + "'";
+  }
+  return false;
+}
+
 bool parse_args(int argc, char** argv, Options& opts, std::string& error) {
   if (argc < 2) {
     error = "missing command";
@@ -240,12 +274,7 @@ bool parse_args(int argc, char** argv, Options& opts, std::string& error) {
     } else if (flag == "--json") {
       opts.json = true;
     } else if (flag == "--gpu") {
-      const char* v = next();
-      if (!v) {
-        error = "--gpu needs an index";
-        return false;
-      }
-      opts.gpu_index = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+      if (!number_flag(flag, next(), opts.gpu_index, error)) return false;
       if (opts.gpu_index >= 4) {
         error = "gpu index out of range (0..3)";
         return false;
@@ -272,33 +301,15 @@ bool parse_args(int argc, char** argv, Options& opts, std::string& error) {
       }
       opts.figure = id;
     } else if (flag == "--n") {
-      const char* v = next();
-      if (!v) {
-        error = "--n needs a size";
-        return false;
-      }
-      opts.env.n = std::strtoul(v, nullptr, 10);
+      if (!number_flag(flag, next(), opts.env.n, error)) return false;
     } else if (flag == "--seeds") {
-      const char* v = next();
-      if (!v) {
-        error = "--seeds needs a count";
-        return false;
-      }
-      opts.env.seeds = static_cast<int>(std::strtol(v, nullptr, 10));
+      if (!number_flag(flag, next(), opts.env.seeds, error)) return false;
     } else if (flag == "--tiles") {
-      const char* v = next();
-      if (!v) {
-        error = "--tiles needs a count";
-        return false;
-      }
-      opts.env.tiles = std::strtoul(v, nullptr, 10);
+      if (!number_flag(flag, next(), opts.env.tiles, error)) return false;
     } else if (flag == "--kfrac") {
-      const char* v = next();
-      if (!v) {
-        error = "--kfrac needs a fraction";
+      if (!number_flag(flag, next(), opts.env.k_fraction, error)) {
         return false;
       }
-      opts.env.k_fraction = std::strtod(v, nullptr);
     } else if (flag == "--timeline") {
       const char* v = next();
       if (!v) {
@@ -314,39 +325,13 @@ bool parse_args(int argc, char** argv, Options& opts, std::string& error) {
       }
       opts.governor = v;
     } else if (flag == "--slice") {
-      const char* v = next();
-      if (!v) {
-        error = "--slice needs a duration (seconds)";
-        return false;
-      }
-      opts.slice_s = std::strtod(v, nullptr);
+      if (!number_flag(flag, next(), opts.slice_s, error)) return false;
     } else if (flag == "--pstates") {
-      const char* v = next();
-      if (!v) {
-        error = "--pstates needs a count";
-        return false;
-      }
-      opts.pstates = static_cast<int>(std::strtol(v, nullptr, 10));
+      if (!number_flag(flag, next(), opts.pstates, error)) return false;
     } else if (flag == "--devices") {
-      const char* v = next();
-      if (!v) {
-        error = "--devices needs a count";
-        return false;
-      }
-      opts.devices = static_cast<int>(std::strtol(v, nullptr, 10));
-      if (opts.devices < 1 || opts.devices > 256) {
-        error = "--devices out of range (1..256)";
-        return false;
-      }
+      if (!number_flag(flag, next(), opts.devices, error)) return false;
     } else if (flag == "--cap") {
-      const char* v = next();
-      if (!v) {
-        error = "--cap needs watts";
-        return false;
-      }
-      opts.cap_w = std::strtod(v, nullptr);
-      if (!(opts.cap_w > 0.0)) {
-        error = "--cap must be positive";
+      if (!number_flag(flag, next(), opts.cap_w.emplace(), error)) {
         return false;
       }
     } else if (flag == "--allocator") {
@@ -364,12 +349,7 @@ bool parse_args(int argc, char** argv, Options& opts, std::string& error) {
       }
       opts.thermal = std::strcmp(v, "on") == 0;
     } else if (flag == "--workers") {
-      const char* v = next();
-      if (!v) {
-        error = "--workers needs a count";
-        return false;
-      }
-      opts.env.workers = static_cast<int>(std::strtol(v, nullptr, 10));
+      if (!number_flag(flag, next(), opts.env.workers, error)) return false;
     } else if (flag == "--bench-out") {
       const char* v = next();
       if (!v) {
@@ -398,23 +378,15 @@ bool parse_args(int argc, char** argv, Options& opts, std::string& error) {
       }
       opts.metrics_file = v;
     } else if (flag == "--interval") {
-      const char* v = next();
-      if (!v) {
-        error = "--interval needs milliseconds";
+      if (!number_flag(flag, next(), opts.top_interval_ms, error)) {
         return false;
       }
-      opts.top_interval_ms = static_cast<int>(std::strtol(v, nullptr, 10));
       if (opts.top_interval_ms < 1) {
         error = "--interval needs a positive millisecond count";
         return false;
       }
     } else if (flag == "--count") {
-      const char* v = next();
-      if (!v) {
-        error = "--count needs a poll count";
-        return false;
-      }
-      opts.top_count = static_cast<int>(std::strtol(v, nullptr, 10));
+      if (!number_flag(flag, next(), opts.top_count, error)) return false;
       if (opts.top_count < 0) {
         error = "--count needs a count >= 0";
         return false;
@@ -422,12 +394,7 @@ bool parse_args(int argc, char** argv, Options& opts, std::string& error) {
     } else if (flag == "--plain") {
       opts.plain = true;
     } else if (flag == "--stats-every") {
-      const char* v = next();
-      if (!v) {
-        error = "--stats-every needs a scenario count";
-        return false;
-      }
-      opts.stats_every = static_cast<int>(std::strtol(v, nullptr, 10));
+      if (!number_flag(flag, next(), opts.stats_every, error)) return false;
       if (opts.stats_every < 0) {
         error = "--stats-every needs a count >= 0";
         return false;
@@ -1593,7 +1560,7 @@ int cmd_fleet(const Options& opts) {
       .add_staggered_devices(parsed_timeline.timeline, opts.devices,
                              kStaggerS, kGpuByIndex[opts.gpu_index],
                              opts.governor);
-  if (opts.cap_w > 0.0) builder.cap(opts.cap_w);
+  if (opts.cap_w) builder.cap(*opts.cap_w);
   gpusim::fleet::ThermalConfig thermal;
   thermal.enabled = opts.thermal;
   builder.thermal(thermal);

@@ -73,18 +73,30 @@ class ObserverWalker {
 };
 
 /// Batched bit-plane walker: gathers each tile's A-row / B-column operand
-/// words into contiguous per-stream buffers once per K-range (all the
-/// range's K-slices share one gather/derive pass), then counts toggles
-/// (XOR with the one-word-shifted stream), Hamming weights, multiplier
-/// partial-product activity, and accumulator switching with bulk
+/// words into contiguous per-lane buffers once per K-range (all the range's
+/// K-slices share one gather/derive pass) and counts with bulk
 /// std::popcount loops over sub-ranges of the packed streams.
 ///
-/// Bit-identicality with the observer walk rests on two facts: every
-/// counter is an order-independent sum, and every per-stream chain (the
-/// last word on each bus, the multiplier's previously held significands)
-/// threads through the packed segments in exactly the order the observer
-/// would have visited them.  The accumulator chain re-runs the identical
-/// arithmetic (same operations, same order), so acc bit patterns match too.
+/// Only the accumulator chain depends on the order the MACs run in, so it
+/// is the only counter walked per (i, j) pairing; it re-runs the compute
+/// path's arithmetic (same operations, same order).  Every other counter is
+/// an order-independent integer sum, factored out of the pairing loop:
+///
+///  - Multiplier interior (t > t0 of a chain) and exponent activity are
+///    sums over t of products of per-t lane sums, e.g.
+///      sum_ij HD_a_i[t] * pop_b_j[t] = (sum_i HD_a_i[t]) * (sum_j pop_b_j[t]),
+///    so pack_range keeps per-t sums over each panel's lanes and a slice
+///    or MMA segment costs O(ks) instead of O(rows * cols * ks).
+///  - SIMT operand buses and multiplier boundaries have closed forms over
+///    the row-major pairing order: pairing (i, j) follows (i, j - 1), so
+///    only the (i, 0) pairings carry state across rows.
+///  - The tensor-core path keeps its per-fragment operand-issue loop and a
+///    per-pairing multiplier boundary (fragments reorder the pairings).
+///
+/// Every per-stream chain (the last word on each bus, the multiplier's
+/// previously held significands) ends each slice on the word the observer
+/// walk would have left there, so the integer counters match it bit for
+/// bit (pinned by the parity tests).
 template <typename T>
 class BitPlaneKernel {
   using traits = gpupower::numeric::scalar_traits<T>;
@@ -139,6 +151,10 @@ class BitPlaneKernel {
     std::size_t seg_begin = 0;
     std::size_t seg_end = 0;
   };
+
+  static std::uint64_t hd(std::uint32_t x, std::uint32_t y) noexcept {
+    return static_cast<std::uint64_t>(std::popcount(x ^ y));
+  }
 
   static std::uint32_t exponent_popcount(std::uint32_t bits) noexcept {
     if constexpr (kWidth == 16) {
@@ -204,58 +220,55 @@ class BitPlaneKernel {
     weight += wt;
   }
 
-  /// Extracts one operand panel (element bits, accumulator-domain values,
-  /// significands + popcounts, exponent popcounts) into packed lane-major
-  /// buffers: lane * ks + t, where a lane is an A row or a B column of the
-  /// tile and t indexes the K-slice.
+  /// One operand panel in packed lane-major buffers (lane * ks + t, where a
+  /// lane is an A row or a B column of the tile and t indexes the K-range),
+  /// plus per-t sums over the panel's lanes for the factored multiplier and
+  /// exponent counters.
   struct Panel {
     std::vector<std::uint32_t> bits;
     std::vector<Acc> vals;
     std::vector<std::uint32_t> sig;
-    std::vector<std::uint8_t> sig_pop;
-    std::vector<std::uint8_t> sig_hd;    ///< HD(sig[t], sig[t-1]) within the lane
-    std::vector<std::uint8_t> exp_pop;   ///< popcount of the exponent field
-    std::vector<std::uint8_t> nonzero;   ///< significand != 0 (zero gating)
     std::vector<std::uint64_t> seg_tog;  ///< per (lane, segment) internal toggles
     std::vector<std::uint64_t> seg_wt;   ///< per (lane, segment) Hamming weight
+    // Per-t sums over the lanes:
+    std::vector<std::uint32_t> pop_sum;  ///< popcount(sig[t])
+    std::vector<std::uint32_t> hd_sum;   ///< HD(sig[t], sig[t-1]), read for t > t0
+    std::vector<std::uint32_t> exp_sum;  ///< exponent-field popcount
+    std::vector<std::uint32_t> nz_sum;   ///< sig[t] != 0 (zero gating)
 
-    void resize(std::size_t lanes, std::size_t ks, std::size_t nseg,
-                bool exponent) {
+    void resize(std::size_t lanes, std::size_t ks, std::size_t nseg) {
       bits.resize(lanes * ks);
       vals.resize(lanes * ks);
       sig.resize(lanes * ks);
-      sig_pop.resize(lanes * ks);
-      sig_hd.resize(lanes * ks);
-      if (exponent) {
-        exp_pop.resize(lanes * ks);
-        nonzero.resize(lanes * ks);
-      }
       seg_tog.resize(lanes * nseg);
       seg_wt.resize(lanes * nseg);
+      pop_sum.assign(ks, 0);
+      hd_sum.assign(ks, 0);
+      if constexpr (kHasExponent) {
+        exp_sum.assign(ks, 0);
+        nz_sum.assign(ks, 0);
+      }
     }
   };
 
   void derive_lane(Panel& panel, std::size_t lane, std::size_t ks,
                    std::span<const std::pair<std::size_t, std::size_t>> segs) {
     const std::size_t base = lane * ks;
+    std::uint32_t prev_sig = 0;
     for (std::size_t t = 0; t < ks; ++t) {
       const std::uint32_t w = panel.bits[base + t];
       const std::uint32_t sig = significand(w, kWidth);
       panel.sig[base + t] = sig;
-      panel.sig_pop[base + t] =
-          static_cast<std::uint8_t>(std::popcount(sig));
+      panel.pop_sum[t] += static_cast<std::uint32_t>(std::popcount(sig));
       // Interior of the lane's multiplier chain: every MAC pairing streams
       // the lane k-contiguously, so HD(sig[t], sig[t-1]) is pairing-
-      // independent for t >= 1 — only the chain's first element toggles
-      // against carried state.
-      panel.sig_hd[base + t] =
-          t == 0 ? 0
-                 : static_cast<std::uint8_t>(
-                       std::popcount(sig ^ panel.sig[base + t - 1]));
+      // independent for t > t0 — only the chain's first element toggles
+      // against carried state, so hd_sum is never read at a chain start.
+      panel.hd_sum[t] += static_cast<std::uint32_t>(hd(sig, prev_sig));
+      prev_sig = sig;
       if constexpr (kHasExponent) {
-        panel.exp_pop[base + t] =
-            static_cast<std::uint8_t>(exponent_popcount(w));
-        panel.nonzero[base + t] = sig != 0 ? 1 : 0;
+        panel.exp_sum[t] += exponent_popcount(w);
+        panel.nz_sum[t] += sig != 0 ? 1u : 0u;
       }
     }
     for (std::size_t s = 0; s < segs.size(); ++s) {
@@ -299,8 +312,8 @@ class BitPlaneKernel {
       slices_.push_back(slice);
     }
 
-    a_panel_.resize(rows, ks, segs_.size(), kHasExponent);
-    b_panel_.resize(cols, ks, segs_.size(), kHasExponent);
+    a_panel_.resize(rows, ks, segs_.size());
+    b_panel_.resize(cols, ks, segs_.size());
 
     for (std::size_t i = 0; i < rows; ++i) {
       const T* src = a_.data() + (tile.row + i) * a_.cols() + k0;
@@ -366,69 +379,39 @@ class BitPlaneKernel {
     }
   }
 
-  /// One MAC chain over [t0, t1) of lane row i x lane column j: multiplier
-  /// switching + exponent activity against the carried significands, plus
-  /// the accumulator arithmetic.  Returns the chain's accumulator result.
-  struct MacSums {
+  /// Multiplier interior (t0, t1) and exponent activity [t0, t1) of every
+  /// pairing of the tile's A rows with its B columns, from the panels'
+  /// per-t lane sums.
+  void add_pairing_sums(std::size_t t0, std::size_t t1) {
+    const Panel& pa = a_panel_;
+    const Panel& pb = b_panel_;
     std::uint64_t pp = 0;
-    std::uint64_t exp = 0;
-    std::uint64_t acc_tog = 0;
-  };
-
-  Acc mac_chain(std::size_t i, std::size_t j, std::size_t ks, std::size_t t0,
-                std::size_t t1, Acc start, bool single_acc_write,
-                MacSums& sums) {
-    const std::uint32_t* sa = a_panel_.sig.data() + i * ks;
-    const std::uint32_t* sb = b_panel_.sig.data() + j * ks;
-    const std::uint8_t* pa = a_panel_.sig_pop.data() + i * ks;
-    const std::uint8_t* pb = b_panel_.sig_pop.data() + j * ks;
-    const Acc* fa = a_panel_.vals.data() + i * ks;
-    const Acc* fb = b_panel_.vals.data() + j * ks;
-    const std::uint8_t* ea = nullptr;
-    const std::uint8_t* eb = nullptr;
-    const std::uint8_t* za = nullptr;
-    const std::uint8_t* zb = nullptr;
-    if constexpr (kHasExponent) {
-      ea = a_panel_.exp_pop.data() + i * ks;
-      eb = b_panel_.exp_pop.data() + j * ks;
-      za = a_panel_.nonzero.data() + i * ks;
-      zb = b_panel_.nonzero.data() + j * ks;
-    }
-
-    const std::uint8_t* ha = a_panel_.sig_hd.data() + i * ks;
-    const std::uint8_t* hb = b_panel_.sig_hd.data() + j * ks;
-
-    // Multiplier chain: the first MAC toggles against the carried
-    // significands; the interior is a dot product of the lanes'
-    // precomputed HD and popcount planes (vectorizable, no dependency).
-    std::uint32_t pp32 =
-        static_cast<std::uint32_t>(std::popcount(sa[t0] ^ port_.prev_sig_a)) *
-            static_cast<std::uint32_t>(pb[t0]) +
-        static_cast<std::uint32_t>(std::popcount(sb[t0] ^ port_.prev_sig_b)) *
-            static_cast<std::uint32_t>(pa[t0]);
     for (std::size_t t = t0 + 1; t < t1; ++t) {
-      pp32 += static_cast<std::uint32_t>(ha[t]) *
-                  static_cast<std::uint32_t>(pb[t]) +
-              static_cast<std::uint32_t>(hb[t]) *
-                  static_cast<std::uint32_t>(pa[t]);
+      pp += static_cast<std::uint64_t>(pa.hd_sum[t]) * pb.pop_sum[t] +
+            static_cast<std::uint64_t>(pb.hd_sum[t]) * pa.pop_sum[t];
     }
-    port_.prev_sig_a = sa[t1 - 1];
-    port_.prev_sig_b = sb[t1 - 1];
-    sums.pp += pp32;
-
+    totals_.mult_pp += pp;
     if constexpr (kHasExponent) {
       // A zero operand gates both exponent adders; a value's own exponent
       // popcount is already zero when the value is zero, so gating only
-      // needs the other operand's nonzero flag.
-      std::uint32_t exp32 = 0;
+      // needs the other operand's nonzero count.
+      std::uint64_t exp = 0;
       for (std::size_t t = t0; t < t1; ++t) {
-        exp32 += static_cast<std::uint32_t>(zb[t]) *
-                     static_cast<std::uint32_t>(ea[t]) +
-                 static_cast<std::uint32_t>(za[t]) *
-                     static_cast<std::uint32_t>(eb[t]);
+        exp += static_cast<std::uint64_t>(pb.nz_sum[t]) * pa.exp_sum[t] +
+               static_cast<std::uint64_t>(pa.nz_sum[t]) * pb.exp_sum[t];
       }
-      sums.exp += exp32;
+      totals_.exponent_bits += exp;
     }
+  }
+
+  /// The accumulator chain of lane row i x lane column j over [t0, t1):
+  /// the one counter that depends on MAC order.  Returns the chain's
+  /// accumulator result.
+  Acc mac_chain(std::size_t i, std::size_t j, std::size_t ks, std::size_t t0,
+                std::size_t t1, Acc start, bool single_acc_write,
+                std::uint64_t& acc_toggles) {
+    const Acc* fa = a_panel_.vals.data() + i * ks;
+    const Acc* fb = b_panel_.vals.data() + j * ks;
 
     // Accumulator chain: the carried dependency is the arithmetic itself,
     // re-run exactly as the compute path would.
@@ -443,57 +426,91 @@ class BitPlaneKernel {
             gemm::detail::acc_bits(sum) ^ gemm::detail::acc_bits(next)));
         sum = next;
       }
-      sums.acc_tog += acc_tog;
+      acc_toggles += acc_tog;
     }
     return sum;
   }
 
   void simt_slice(std::size_t rows, std::size_t cols, std::size_t ks,
                   const SliceInfo& slice, std::vector<Acc>& acc) {
-    // Per-thread streams: each (i, j) output streams row i of A and column
-    // j of B k-contiguously.  The interior of every operand chain is the
-    // lane's packed segment — identical for every pairing — so only the
-    // boundary toggle against the bus's previous word is per-pair work.
+    // Per-thread streams: output (i, j) streams row i of A and column j of
+    // B k-contiguously, pairings in row-major order.  A lane's chain
+    // interior is its packed segment, identical for every pairing, so only
+    // the first word's toggle against the previous pairing's last word is
+    // pairing-dependent: pairing (i, j >= 1) follows (i, j - 1), and
+    // pairing (i, 0) follows (i - 1, cols - 1) or the carried port state.
     const std::size_t t0 = slice.t0;
     const std::size_t t1 = slice.t1;
     const std::size_t st = t1 - t0;
     const std::size_t nseg = segs_.size();
     const std::size_t seg = slice.seg_begin;  // SIMT: one segment per slice
-    std::uint64_t op_tog = 0, op_wt = 0;
-    std::uint32_t last_a = port_.last_operand_a;
-    std::uint32_t last_b = port_.last_operand_b;
-    MacSums sums;
-    for (std::size_t i = 0; i < rows; ++i) {
-      const std::uint32_t a_first = a_panel_.bits[i * ks + t0];
-      const std::uint32_t a_last = a_panel_.bits[i * ks + t1 - 1];
-      const std::uint64_t a_tog = a_panel_.seg_tog[i * nseg + seg];
-      const std::uint64_t a_wt = a_panel_.seg_wt[i * nseg + seg];
-      for (std::size_t j = 0; j < cols; ++j) {
-        op_tog += static_cast<std::uint64_t>(std::popcount(last_a ^ a_first)) +
-                  a_tog;
-        op_wt += a_wt;
-        last_a = a_last;
-        op_tog += static_cast<std::uint64_t>(
-                      std::popcount(last_b ^ b_panel_.bits[j * ks + t0])) +
-                  b_panel_.seg_tog[j * nseg + seg];
-        op_wt += b_panel_.seg_wt[j * nseg + seg];
-        last_b = b_panel_.bits[j * ks + t1 - 1];
+    const Panel& pa = a_panel_;
+    const Panel& pb = b_panel_;
 
-        acc[i * cols + j] =
-            mac_chain(i, j, ks, t0, t1, acc[i * cols + j], false, sums);
+    // B side of one row of pairings: column j >= 1 chains off column j - 1.
+    std::uint64_t b_tog = 0, b_wt = 0, b_sig_hd = 0;
+    for (std::size_t j = 0; j < cols; ++j) {
+      b_tog += pb.seg_tog[j * nseg + seg];
+      b_wt += pb.seg_wt[j * nseg + seg];
+      if (j != 0) {
+        b_tog += hd(pb.bits[(j - 1) * ks + t1 - 1], pb.bits[j * ks + t0]);
+        b_sig_hd += hd(pb.sig[(j - 1) * ks + t1 - 1], pb.sig[j * ks + t0]);
       }
     }
+    const std::size_t b_end = (cols - 1) * ks + t1 - 1;
+    const std::uint64_t pop_b0 = static_cast<std::uint64_t>(
+        std::popcount(pb.sig[t0]));
+    const std::uint64_t pop_b_rest = pb.pop_sum[t0] - pop_b0;
+
+    std::uint64_t op_tog = rows * b_tog +
+                           hd(port_.last_operand_b, pb.bits[t0]) +
+                           (rows - 1) * hd(pb.bits[b_end], pb.bits[t0]);
+    std::uint64_t op_wt = rows * b_wt;
+    // Multiplier, B half of pairings (i, j >= 1), summed over the rows.
+    std::uint64_t pp = pa.pop_sum[t0] * b_sig_hd;
+
+    // A side, row by row: pairings (i, j >= 1) chain off row i's own last
+    // word; pairing (i, 0) chains off the previous row's.
+    std::uint32_t last_a = port_.last_operand_a;
+    std::uint32_t prev_sig_a = port_.prev_sig_a;
+    std::uint32_t prev_sig_b = port_.prev_sig_b;
+    for (std::size_t i = 0; i < rows; ++i) {
+      const std::size_t first = i * ks + t0;
+      const std::size_t last = i * ks + t1 - 1;
+      op_tog += hd(last_a, pa.bits[first]) +
+                (cols - 1) * hd(pa.bits[last], pa.bits[first]) +
+                cols * pa.seg_tog[i * nseg + seg];
+      op_wt += cols * pa.seg_wt[i * nseg + seg];
+      last_a = pa.bits[last];
+      // Multiplier: pairing (i, 0), then the A half of pairings (i, j >= 1).
+      pp += hd(pa.sig[first], prev_sig_a) * pop_b0 +
+            hd(pb.sig[t0], prev_sig_b) *
+                static_cast<std::uint64_t>(std::popcount(pa.sig[first])) +
+            hd(pa.sig[first], pa.sig[last]) * pop_b_rest;
+      prev_sig_a = pa.sig[last];
+      prev_sig_b = pb.sig[b_end];
+    }
     port_.last_operand_a = last_a;
-    port_.last_operand_b = last_b;
+    port_.last_operand_b = pb.bits[b_end];
+    port_.prev_sig_a = prev_sig_a;
+    port_.prev_sig_b = prev_sig_b;
+    add_pairing_sums(t0, t1);
+
+    std::uint64_t acc_tog = 0;
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::size_t j = 0; j < cols; ++j) {
+        acc[i * cols + j] =
+            mac_chain(i, j, ks, t0, t1, acc[i * cols + j], false, acc_tog);
+      }
+    }
     const std::uint64_t mac_count = rows * cols * st;
     totals_.operand_words += 2 * mac_count;
     totals_.operand_toggles += op_tog;
     totals_.operand_weight += op_wt;
-    totals_.mult_pp += sums.pp;
-    totals_.exponent_bits += sums.exp;
+    totals_.mult_pp += pp;
     totals_.macs += mac_count;
     totals_.acc_updates += mac_count;
-    totals_.acc_toggles += sums.acc_tog;
+    totals_.acc_toggles += acc_tog;
   }
 
   void tensor_core_slice(std::size_t rows, std::size_t cols, std::size_t ks,
@@ -501,14 +518,16 @@ class BitPlaneKernel {
     const std::size_t fm = config_.mma.m;
     const std::size_t fn = config_.mma.n;
     const std::size_t nseg = segs_.size();
-    std::uint64_t op_tog = 0, op_wt = 0, op_words = 0;
+    std::uint64_t op_tog = 0, op_wt = 0, op_words = 0, pp = 0;
     std::uint64_t acc_tog = 0, acc_ups = 0, mac_count = 0;
     std::uint32_t last_a = port_.last_operand_a;
     std::uint32_t last_b = port_.last_operand_b;
-    MacSums sums;
+    std::uint32_t prev_sig_a = port_.prev_sig_a;
+    std::uint32_t prev_sig_b = port_.prev_sig_b;
     for (std::size_t s = slice.seg_begin; s < slice.seg_end; ++s) {
       const auto [t0, t1] = segs_[s];
       const std::size_t st = t1 - t0;
+      add_pairing_sums(t0, t1);
       for (std::size_t i0 = 0; i0 < rows; i0 += fm) {
         const std::size_t iend = std::min(i0 + fm, rows);
         for (std::size_t j0 = 0; j0 < cols; j0 += fn) {
@@ -516,25 +535,33 @@ class BitPlaneKernel {
           // Fragment operand issue: the A rows then the B columns of the
           // fragment, each a packed segment with a boundary toggle.
           for (std::size_t i = i0; i < iend; ++i) {
-            op_tog += static_cast<std::uint64_t>(
-                          std::popcount(last_a ^ a_panel_.bits[i * ks + t0])) +
+            op_tog += hd(last_a, a_panel_.bits[i * ks + t0]) +
                       a_panel_.seg_tog[i * nseg + s];
             op_wt += a_panel_.seg_wt[i * nseg + s];
             last_a = a_panel_.bits[i * ks + t1 - 1];
           }
           op_words += (iend - i0) * st;
           for (std::size_t j = j0; j < jend; ++j) {
-            op_tog += static_cast<std::uint64_t>(
-                          std::popcount(last_b ^ b_panel_.bits[j * ks + t0])) +
+            op_tog += hd(last_b, b_panel_.bits[j * ks + t0]) +
                       b_panel_.seg_tog[j * nseg + s];
             op_wt += b_panel_.seg_wt[j * nseg + s];
             last_b = b_panel_.bits[j * ks + t1 - 1];
           }
           op_words += (jend - j0) * st;
-          // Dot-product array + single accumulator write per output.
+          // Dot-product array + single accumulator write per output.  The
+          // chain's first MAC toggles the multiplier against the
+          // significands the previous pairing left in the array.
           for (std::size_t i = i0; i < iend; ++i) {
+            const std::uint32_t sa = a_panel_.sig[i * ks + t0];
             for (std::size_t j = j0; j < jend; ++j) {
-              const Acc dot = mac_chain(i, j, ks, t0, t1, Acc{}, true, sums);
+              const std::uint32_t sb = b_panel_.sig[j * ks + t0];
+              pp += hd(sa, prev_sig_a) *
+                        static_cast<std::uint64_t>(std::popcount(sb)) +
+                    hd(sb, prev_sig_b) *
+                        static_cast<std::uint64_t>(std::popcount(sa));
+              prev_sig_a = a_panel_.sig[i * ks + t1 - 1];
+              prev_sig_b = b_panel_.sig[j * ks + t1 - 1];
+              const Acc dot = mac_chain(i, j, ks, t0, t1, Acc{}, true, acc_tog);
               Acc& slot = acc[i * cols + j];
               const Acc next = slot + dot;
               acc_tog += static_cast<std::uint64_t>(std::popcount(
@@ -549,11 +576,12 @@ class BitPlaneKernel {
     }
     port_.last_operand_a = last_a;
     port_.last_operand_b = last_b;
+    port_.prev_sig_a = prev_sig_a;
+    port_.prev_sig_b = prev_sig_b;
     totals_.operand_words += op_words;
     totals_.operand_toggles += op_tog;
     totals_.operand_weight += op_wt;
-    totals_.mult_pp += sums.pp;
-    totals_.exponent_bits += sums.exp;
+    totals_.mult_pp += pp;
     totals_.macs += mac_count;
     totals_.acc_updates += acc_ups;
     totals_.acc_toggles += acc_tog;

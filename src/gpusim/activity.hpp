@@ -2,17 +2,21 @@
 // partial-product activity, and accumulator switching over the tiled GEMM
 // traversal — the raw inputs to the power model.
 //
-// Two backends compute the same ActivityTotals, bit-identically:
+// Two backends compute the same ActivityTotals, exactly for finite
+// accumulators:
 //
 //  - kBatched (default): the bit-plane kernel.  Each tile's A-row / B-column
 //    operand words are gathered into contiguous per-stream buffers once per
-//    K-range (every K-slice of the tile reuses the same packed panels);
-//    toggle counts (XOR with the one-word-shifted stream), Hamming
-//    weights, multiplier partial-product activity, and accumulator switching
-//    are then computed with bulk std::popcount loops over the packed
-//    streams.  Per-stream port state threads through the packed segments in
-//    exactly the order the observer walk would have seen, so the totals
-//    match the reference walk bit for bit (pinned by the parity tests).
+//    K-range (every K-slice of the tile reuses the same packed panels) and
+//    counted with bulk std::popcount loops.  Only the accumulator chain is
+//    walked per MAC pairing; the order-independent counters (multiplier,
+//    exponent, operand buses) are factored into per-slice sums.  Per-stream
+//    port state ends each slice where the observer walk leaves it, so the
+//    integer counters match the reference walk exactly (pinned by the
+//    parity tests).  Once an accumulator add sees two NaN operands, x86
+//    returns the first operand's payload and the two backends' compiled
+//    loops may order the operands differently, so acc_toggles can differ
+//    on inputs whose accumulators go NaN.
 //  - kObserver: the reference per-element walk — gemm::process_tile with an
 //    ActivityCounters observer, one callback per physical wire event.
 //
@@ -117,9 +121,10 @@ struct SamplingPlan {
   }
 };
 
-/// Which implementation walks the traversal.  Both produce bit-identical
-/// ActivityTotals; kObserver exists as the reference for parity tests and
-/// the micro benchmark.
+/// Which implementation walks the traversal.  Both produce the same
+/// ActivityTotals while the accumulators stay finite (see the file comment
+/// for NaN); kObserver exists as the reference for parity tests and the
+/// micro benchmark.
 enum class ActivityBackend {
   kBatched,   ///< packed bit-plane kernel (fast path, default)
   kObserver,  ///< per-element observer walk (reference)

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "core/figures.hpp"
+#include "core/pattern_spec.hpp"
 #include "patterns/distributions.hpp"
 
 namespace gpupower::gpusim {
@@ -156,13 +158,20 @@ TEST(Sampling, ExactPlanWalksEveryTile) {
 // The acceptance criterion for the fast path: ActivityTotals from the
 // batched kernel are bit-identical to the per-element observer walk, for
 // every dtype (SIMT and tensor-core datapaths), exact and sampled plans,
-// both B layouts, and ragged tile/K edges.
+// both B layouts, and ragged tile/K edges — as long as the accumulators
+// stay finite.  Once both operands of an accumulator add are NaN, x86
+// returns the first operand's payload, and the two backends' compiled
+// loops may order the operands differently; `check_acc_toggles = false`
+// compares every other counter for such inputs.
 
 void expect_identical_totals(const ActivityEstimate& batched,
-                             const ActivityEstimate& observer) {
+                             const ActivityEstimate& observer,
+                             bool check_acc_toggles = true) {
   // Whole-struct equality covers counter fields added later; the per-field
   // checks below localise a failure.
-  EXPECT_TRUE(batched.totals == observer.totals);
+  ActivityTotals compared = batched.totals;
+  if (!check_acc_toggles) compared.acc_toggles = observer.totals.acc_toggles;
+  EXPECT_TRUE(compared == observer.totals);
   EXPECT_EQ(batched.totals.fetch_words, observer.totals.fetch_words);
   EXPECT_EQ(batched.totals.fetch_toggles, observer.totals.fetch_toggles);
   EXPECT_EQ(batched.totals.fetch_weight, observer.totals.fetch_weight);
@@ -172,7 +181,9 @@ void expect_identical_totals(const ActivityEstimate& batched,
   EXPECT_EQ(batched.totals.mult_pp, observer.totals.mult_pp);
   EXPECT_EQ(batched.totals.exponent_bits, observer.totals.exponent_bits);
   EXPECT_EQ(batched.totals.acc_updates, observer.totals.acc_updates);
-  EXPECT_EQ(batched.totals.acc_toggles, observer.totals.acc_toggles);
+  if (check_acc_toggles) {
+    EXPECT_EQ(batched.totals.acc_toggles, observer.totals.acc_toggles);
+  }
   EXPECT_EQ(batched.totals.macs, observer.totals.macs);
   EXPECT_EQ(batched.sampled, observer.sampled);
   EXPECT_EQ(batched.tiles_walked, observer.tiles_walked);
@@ -181,10 +192,9 @@ void expect_identical_totals(const ActivityEstimate& batched,
 }
 
 template <typename T>
-void run_parity_case(DType dtype, bool transpose_b) {
+void run_parity_case(DType dtype, bool transpose_b, std::size_t n = 150) {
   // n = 150 leaves ragged edges at every level: threadblock tiles (128 +
   // 22), K-slices, and MMA fragment K-segments.
-  const std::size_t n = 150;
   auto values = patterns::gaussian_fill(n * n, 0.0, 210.0, 7);
   // Sprinkle exact zeros so the multiplier/exponent zero gating is hit.
   for (std::size_t i = 0; i < values.size(); i += 13) values[i] = 0.0f;
@@ -224,6 +234,61 @@ TEST(BitPlaneParity, Fp16TensorCoreMatchesObserverBitwise) {
 TEST(BitPlaneParity, Int8TensorCoreMatchesObserverBitwise) {
   run_parity_case<gpupower::numeric::int8_value_t>(DType::kINT8, true);
   run_parity_case<gpupower::numeric::int8_value_t>(DType::kINT8, false);
+}
+
+TEST(BitPlaneParity, OneWideEdgesMatchObserverBitwise) {
+  // n = 65 and n = 129 leave 1-wide ragged tiles or warp quanta and
+  // 1-element K-slices and MMA segments: the factored boundary terms'
+  // (rows - 1) / (cols - 1) multipliers apply and every chain interior is
+  // empty.
+  for (const std::size_t n : {std::size_t{65}, std::size_t{129}}) {
+    SCOPED_TRACE(n);
+    for (const bool transpose_b : {true, false}) {
+      run_parity_case<float>(DType::kFP32, transpose_b, n);
+      run_parity_case<float16_t>(DType::kFP16, transpose_b, n);
+      run_parity_case<float16_t>(DType::kFP16T, transpose_b, n);
+      run_parity_case<gpupower::numeric::int8_value_t>(DType::kINT8,
+                                                       transpose_b, n);
+    }
+  }
+}
+
+template <typename T>
+void run_bit_flip_case(core::FigureId figure, std::size_t point, DType dtype,
+                       bool transpose_b) {
+  const std::size_t n = 129;
+  core::PatternSpec spec = core::figure_sweep(figure).at(point).spec;
+  spec.transpose_b = transpose_b;
+  const auto inputs = core::build_inputs<T>(spec, dtype, n, 42);
+  const GemmProblem problem = GemmProblem::square(n, transpose_b);
+  const auto config = TileConfig::for_dtype(dtype);
+  const auto batched = estimate_activity(problem, inputs.a, inputs.b, config,
+                                         SamplingPlan::exact(),
+                                         ActivityBackend::kBatched);
+  const auto observer = estimate_activity(problem, inputs.a, inputs.b, config,
+                                          SamplingPlan::exact(),
+                                          ActivityBackend::kObserver);
+  // Bit-flipped inputs include NaN/Inf words, so accumulators may go NaN.
+  expect_identical_totals(batched, observer, /*check_acc_toggles=*/false);
+}
+
+TEST(BitPlaneParity, BitFlipInputsMatchObserverOnEveryOtherCounter) {
+  // Paper bit-level inputs: a fig. 4a 50% flip point, the fig. 4c 100%
+  // randomized point and a fig. 6d zeroed-MSB point.
+  const std::pair<core::FigureId, std::size_t> points[] = {
+      {core::FigureId::kFig4aRandomBitFlips, 4},
+      {core::FigureId::kFig4cMsbRandomized, 8},
+      {core::FigureId::kFig6dMsbZeroed, 3}};
+  for (const auto& [figure, point] : points) {
+    SCOPED_TRACE(core::figure_key(figure));
+    for (const bool transpose_b : {true, false}) {
+      run_bit_flip_case<float>(figure, point, DType::kFP32, transpose_b);
+      run_bit_flip_case<float16_t>(figure, point, DType::kFP16, transpose_b);
+      run_bit_flip_case<float16_t>(figure, point, DType::kFP16T, transpose_b);
+      run_bit_flip_case<gpupower::numeric::int8_value_t>(
+          figure, point, DType::kINT8, transpose_b);
+    }
+  }
 }
 
 // --- port-state persistence ----------------------------------------------

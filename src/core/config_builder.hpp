@@ -238,9 +238,10 @@ class FleetConfigBuilder {
   /// `timeline` delayed by i * stagger_s (an idle prefix) with priority
   /// count - i — the phase-shifted fleet shape where allocation policy
   /// actually matters (synchronised bursts degenerate every allocator to
-  /// uniform).  Shared by `gpowerctl fleet` and `fig_fleet_capping` so
-  /// the CLI and the committed benchmark mean the same thing by "a
-  /// staggered fleet".
+  /// uniform).  `gpowerctl fleet` builds its fleet with it; the committed
+  /// examples/specs/fleet_capping.json base is this shape written out
+  /// (4 devices, 0.1 s stagger), so the CLI and the committed study mean
+  /// the same thing by "a staggered fleet".
   FleetConfigBuilder& add_staggered_devices(
       const gpupower::gpusim::dvfs::WorkloadTimeline& timeline, int count,
       double stagger_s, gpupower::gpusim::GpuModel gpu,

@@ -1,5 +1,6 @@
 #include "core/dag/dag.hpp"
 
+#include <cmath>
 #include <cstddef>
 #include <stdexcept>
 #include <string>
@@ -56,15 +57,7 @@ const JsonValue* get_path(const JsonValue& doc, std::string_view path,
     }
     if (cur->is_array()) {
       std::size_t index = 0;
-      bool numeric = true;
-      for (const char c : seg) {
-        if (c < '0' || c > '9') {
-          numeric = false;
-          break;
-        }
-        index = index * 10 + static_cast<std::size_t>(c - '0');
-      }
-      if (!numeric || index >= cur->size()) {
+      if (!detail::path_index(seg, index) || index >= cur->size()) {
         missing = walked;
         return nullptr;
       }
@@ -234,8 +227,7 @@ bool parse_reduce(const JsonValue& v, std::string_view where, Ctx& ctx,
     return ctx.fail(std::string(where) + ".over",
                     "references the node itself");
   }
-  if (sketches[out.over].kind != DagNodeKind::kScenario &&
-      sketches[out.over].kind != DagNodeKind::kCampaign) {
+  if (is_derived(sketches[out.over].kind)) {
     return ctx.fail(std::string(where) + ".over",
                     "node '" + over_name + "' is not a run node");
   }
@@ -373,6 +365,31 @@ bool parse_search(const JsonValue& v, std::string_view where, Ctx& ctx,
   return true;
 }
 
+/// An affine operand: `{"$ref": "node.result.path"}`.
+bool parse_operand(const JsonValue* v, const std::string& where, Ctx& ctx,
+                   const std::vector<NodeSketch>& sketches, std::size_t self,
+                   DagRef& out) {
+  if (v == nullptr || !v->is_object()) {
+    return ctx.fail(where, "expected {\"$ref\": \"node.result.path\"}");
+  }
+  if (!check_keys(*v, where, {"$ref"}, ctx)) return false;
+  return parse_ref(v->find("$ref"), where + ".$ref", ctx, sketches, self, out);
+}
+
+bool parse_affine(const JsonValue& v, const std::string& where, Ctx& ctx,
+                  const std::vector<NodeSketch>& sketches, std::size_t self,
+                  DagAffine& out) {
+  if (!v.is_object()) return ctx.fail(where, "expected an object");
+  if (!check_keys(v, where, {"a", "b", "f"}, ctx)) return false;
+  if (!parse_operand(v.find("a"), where + ".a", ctx, sketches, self, out.a) ||
+      !parse_operand(v.find("b"), where + ".b", ctx, sketches, self, out.b) ||
+      !read_number(v.find("f"), where + ".f", ctx, out.f)) {
+    return false;
+  }
+  if (!std::isfinite(out.f)) return ctx.fail(where + ".f", "must be finite");
+  return true;
+}
+
 /// Deterministic topological order: repeatedly take the lowest-index node
 /// whose dependencies are all scheduled (Kahn with declaration-order
 /// tie-break).  Returns false naming a node on the cycle.
@@ -427,6 +444,8 @@ std::string_view name(DagNodeKind kind) {
       return "reduce";
     case DagNodeKind::kSearch:
       return "search";
+    case DagNodeKind::kAffine:
+      return "affine";
   }
   return "scenario";
 }
@@ -481,17 +500,20 @@ bool parse_dag(const JsonValue& doc, DagSpec& out, std::string& error) {
     const bool has_run = entry.find("run") != nullptr;
     const bool has_reduce = entry.find("reduce") != nullptr;
     const bool has_search = entry.find("search") != nullptr;
+    const bool has_affine = entry.find("affine") != nullptr;
     if (static_cast<int>(has_run) + static_cast<int>(has_reduce) +
-            static_cast<int>(has_search) !=
+            static_cast<int>(has_search) + static_cast<int>(has_affine) !=
         1) {
-      return finish(
-          ctx.fail(node_where(i, sketches[i].name),
-                   "needs exactly one of 'run', 'reduce', or 'search'"));
+      return finish(ctx.fail(
+          node_where(i, sketches[i].name),
+          "needs exactly one of 'run', 'reduce', 'search', or 'affine'"));
     }
     if (has_reduce) {
       sketches[i].kind = DagNodeKind::kReduce;
     } else if (has_search) {
       sketches[i].kind = DagNodeKind::kSearch;
+    } else if (has_affine) {
+      sketches[i].kind = DagNodeKind::kAffine;
     } else {
       const JsonValue* run = entry.find("run");
       const JsonValue* scenario =
@@ -511,7 +533,8 @@ bool parse_dag(const JsonValue& doc, DagSpec& out, std::string& error) {
     node.kind = sketches[i].kind;
     const std::string where = node_where(i, node.name);
     if (!check_keys(entry, where,
-                    {"name", "run", "reduce", "search", "substitutions"},
+                    {"name", "run", "reduce", "search", "affine",
+                     "substitutions"},
                     ctx)) {
       return finish(false);
     }
@@ -563,6 +586,19 @@ bool parse_dag(const JsonValue& doc, DagSpec& out, std::string& error) {
         }
         break;
       }
+      case DagNodeKind::kAffine: {
+        if (entry.find("substitutions") != nullptr) {
+          return finish(ctx.fail(where + ".substitutions",
+                                 "not supported on an affine node"));
+        }
+        if (!parse_affine(*entry.find("affine"), where + ".affine", ctx,
+                          sketches, i, node.affine)) {
+          return finish(false);
+        }
+        add_dep(node.deps, node.affine.a.node);
+        add_dep(node.deps, node.affine.b.node);
+        break;
+      }
     }
   }
   if (!topo_order(out.nodes, out.order, ctx)) return finish(false);
@@ -596,14 +632,12 @@ class DagExecutor {
     }
     // Ready-node schedule: walk the deterministic topological order,
     // submitting every run node's points as its dependencies retire
-    // (resolving a $ref forces the upstream node to finalise).  Reduce
-    // and search nodes run inline at finalise time, so independent run
-    // nodes scheduled later still overlap them on the worker pool.
+    // (resolving a $ref forces the upstream node to finalise).  Derived
+    // nodes run inline at finalise time, so independent run nodes
+    // scheduled later still overlap them on the worker pool.
     for (const std::size_t index : spec_.order) {
-      const DagNode& node = spec_.nodes[index];
-      if (node.kind == DagNodeKind::kScenario ||
-          node.kind == DagNodeKind::kCampaign) {
-        if (!schedule(index, error)) return false;
+      if (!is_derived(spec_.nodes[index].kind) && !schedule(index, error)) {
+        return false;
       }
     }
     for (std::size_t i = 0; i < spec_.nodes.size(); ++i) {
@@ -741,6 +775,9 @@ class DagExecutor {
         break;
       case DagNodeKind::kSearch:
         ok = finalize_search(index, error);
+        break;
+      case DagNodeKind::kAffine:
+        ok = finalize_affine(index, error);
         break;
     }
     if (!ok) return false;
@@ -929,6 +966,39 @@ class DagExecutor {
         .set("iterations", JsonValue::integer(iterations))
         .set("result", scenario_result_to_json(run.points[accepted].result));
     run.key = canonical_scenario_key(run.points[accepted].config);
+    return true;
+  }
+
+  bool resolve_number(std::size_t index, const DagRef& ref, double& value,
+                      std::string& error) {
+    JsonValue found;
+    if (!resolve_ref(index, ref, found, error)) return false;
+    if (!found.is_number()) {
+      return node_fail(index, "$ref '" + ref.raw + "' is not a number", error);
+    }
+    value = found.as_number();
+    return true;
+  }
+
+  bool finalize_affine(std::size_t index, std::string& error) {
+    const DagAffine& affine = spec_.nodes[index].affine;
+    DagNodeRun& run = out_.nodes[index];
+    double a = 0.0;
+    double b = 0.0;
+    if (!resolve_number(index, affine.a, a, error) ||
+        !resolve_number(index, affine.b, b, error)) {
+      return false;
+    }
+    // Exactly this evaluation order: anchored campaigns (e.g. a cap axis
+    // between idle floor and uncapped peak) pin these bits.
+    const double value = a + affine.f * (b - a);
+    run.doc = JsonValue::object();
+    run.doc.set("a", JsonValue::number(a))
+        .set("b", JsonValue::number(b))
+        .set("f", JsonValue::number(affine.f))
+        .set("value", JsonValue::number(value));
+    run.key = "dag-affine\x1f" + affine.a.raw + "\x1f" + affine.b.raw +
+              "\x1f" + format_exact(affine.f);
     return true;
   }
 

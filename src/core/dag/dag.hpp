@@ -1,8 +1,9 @@
 // Campaign DAGs: dependent-scenario graphs run as one study.  A dag spec
 // is a set of named nodes; each node either *runs* a scenario/campaign
-// document, *reduces* another node's per-point metrics, or *searches* one
+// document, *reduces* another node's per-point metrics, *searches* one
 // dotted field by deterministic bisection until a predicate on a result
-// metric holds.  Nodes reference upstream results with
+// metric holds, or interpolates two upstream numbers (*affine*).  Nodes
+// reference upstream results with
 // `"$ref": "node_name.result.dotted.path"` substitutions — the same
 // dotted-path patch machinery campaign axes use, pointed at a finished
 // node's result document instead of a literal value.
@@ -27,12 +28,18 @@
 //         "search": { "base": { "scenario": "fleet", ... },
 //                     "field": "cap_w", "lo": 60, "hi": 400,
 //                     "metric": "backlog_p99_s", "predicate": "<=",
-//                     "target": 0.05, "tolerance": 1.0 } } ] }
+//                     "target": 0.05, "tolerance": 1.0 } },
+//       { "name": "cap_mid",
+//         "affine": { "a": {"$ref": "floor.result.avg_power_w"},
+//                     "b": {"$ref": "uncapped.result.peak_power_w"},
+//                     "f": 0.5 } } ] }
 //
 // Each run/search base document must parse stand-alone (substitutions
 // override fields that already carry placeholder values — the same
-// contract campaign axes have with their base).  A node's result document
-// — the `$ref` resolution surface — is:
+// contract campaign axes have with their base).  Substitution fields are
+// dotted paths; numeric segments index existing arrays, so a campaign
+// node can patch one axis value ("axes.1.values.0.value").  A node's
+// result document — the `$ref` resolution surface — is:
 //
 //   run (single)  the scenario_result_to_json document
 //   run (campaign)  {"points": [{"label": ..., "result": <doc>}, ...]}
@@ -41,6 +48,8 @@
 //                  "points": [{"label", "value"}, ...]}
 //   search        {"field", "value", "iterations", "result": <doc of the
 //                  accepted point>}
+//   affine        {"a", "b", "f", "value"} with value = a + f * (b - a),
+//                  evaluated in exactly that order; submits nothing
 //
 // Validation is strict and parse-time wherever possible: unknown keys,
 // duplicate node names, `$ref`s naming unknown nodes, and dependency
@@ -79,9 +88,16 @@ struct DagSubstitution {
   DagRef ref;
 };
 
-enum class DagNodeKind { kScenario, kCampaign, kReduce, kSearch };
+enum class DagNodeKind { kScenario, kCampaign, kReduce, kSearch, kAffine };
 
 [[nodiscard]] std::string_view name(DagNodeKind kind);
+
+/// Derived nodes compute from upstream result documents instead of
+/// running a spec of their own; their `DagNodeRun::doc` is the result.
+[[nodiscard]] constexpr bool is_derived(DagNodeKind kind) {
+  return kind == DagNodeKind::kReduce || kind == DagNodeKind::kSearch ||
+         kind == DagNodeKind::kAffine;
+}
 
 /// A reduce node: fold one metric across an upstream node's points.
 /// op "regret" subtracts the baseline node's metric from every point and
@@ -114,6 +130,15 @@ struct DagSearch {
   std::vector<DagSubstitution> substitutions;
 };
 
+/// An affine node: `a + f * (b - a)` over two numeric `$ref`s — the
+/// interpolation between two measured anchors (e.g. a cap `f` of the way
+/// from a fleet's idle floor to its uncapped peak).
+struct DagAffine {
+  DagRef a;
+  DagRef b;
+  double f = 0.0;
+};
+
 struct DagNode {
   std::string name;
   DagNodeKind kind = DagNodeKind::kScenario;
@@ -121,6 +146,7 @@ struct DagNode {
   std::vector<DagSubstitution> substitutions;  ///< run nodes only
   DagReduce reduce;
   DagSearch search;
+  DagAffine affine;
   std::vector<std::size_t> deps;  ///< sorted unique upstream node indices
 };
 
@@ -138,7 +164,7 @@ struct DagSpec {
 
 /// One executed point of a node (a single-scenario node has exactly one;
 /// campaign nodes one per grid point; search nodes one per evaluation in
-/// evaluation order; reduce nodes none).
+/// evaluation order; reduce and affine nodes none).
 struct DagNodePoint {
   std::string label;
   ScenarioConfig config;
@@ -152,7 +178,7 @@ struct DagNodePoint {
 struct DagNodeRun {
   std::string name;
   DagNodeKind kind = DagNodeKind::kScenario;
-  std::string key;  ///< canonical scenario key (synthetic for reduce)
+  std::string key;  ///< canonical scenario key (synthetic for reduce/affine)
   std::vector<DagNodePoint> points;
   analysis::JsonValue doc;  ///< the node's result document
 };
@@ -168,7 +194,7 @@ using DagNodeCallback = std::function<void(const DagNodeRun&)>;
 
 /// Executes the dag: schedules ready run-nodes onto the engine in `order`
 /// as their dependencies retire, resolves `$ref` substitutions against
-/// finished nodes, and runs reduce/search nodes inline.  Returns false
+/// finished nodes, and runs derived nodes inline.  Returns false
 /// with `error` naming the node on unresolvable refs, failed re-parses,
 /// or non-convergent searches.  Engine worker exceptions propagate.
 [[nodiscard]] bool run_dag(ExperimentEngine& engine, const DagSpec& spec,

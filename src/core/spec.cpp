@@ -1,5 +1,6 @@
 #include "core/spec.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -368,8 +369,9 @@ bool parse_campaign(const JsonValue& doc, Ctx& ctx, ScenarioSpec& out) {
   return true;
 }
 
-/// Rebuilds `in` with the dotted `path` set to `leaf` (missing intermediate
-/// objects are created; an existing non-object on the path is an error).
+/// Rebuilds `in` with the dotted `path` set to `leaf`.  Object segments
+/// create missing intermediate objects; numeric segments index existing
+/// arrays (appending is an error); a scalar on the path is an error.
 bool set_path(const JsonValue& in, std::string_view path,
               const JsonValue& leaf, JsonValue& out, std::string& error) {
   const std::size_t dot = path.find('.');
@@ -379,8 +381,38 @@ bool set_path(const JsonValue& in, std::string_view path,
     error = "empty path segment";
     return false;
   }
+  // The patched value of `head`'s member: the leaf itself at the last
+  // segment, else the rest of the path set inside `child`.
+  auto patch_child = [&](const JsonValue& child, JsonValue& patched) {
+    if (dot == std::string_view::npos) {
+      patched = leaf;
+      return true;
+    }
+    return set_path(child, path.substr(dot + 1), leaf, patched, error);
+  };
+  if (in.is_array()) {
+    std::size_t index = 0;
+    if (!detail::path_index(head, index) || index >= in.size()) {
+      error = "'" + std::string(head) + "' is not an index into the " +
+              std::to_string(in.size()) + "-element array";
+      return false;
+    }
+    JsonValue rebuilt = JsonValue::array();
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      if (i != index) {
+        rebuilt.push(in.at(i));
+        continue;
+      }
+      JsonValue child;
+      if (!patch_child(in.at(i), child)) return false;
+      rebuilt.push(std::move(child));
+    }
+    out = std::move(rebuilt);
+    return true;
+  }
   if (!in.is_object()) {
-    error = "'" + std::string(head) + "' would patch inside a non-object";
+    error = "'" + std::string(head) +
+            "' would patch inside a non-object, non-array value";
     return false;
   }
   JsonValue rebuilt = JsonValue::object();
@@ -389,30 +421,17 @@ bool set_path(const JsonValue& in, std::string_view path,
     const JsonValue* member = in.find(key);
     if (key == head && !replaced) {
       replaced = true;
-      if (dot == std::string_view::npos) {
-        rebuilt.set(key, leaf);
-      } else {
-        JsonValue child;
-        if (!set_path(*member, path.substr(dot + 1), leaf, child, error)) {
-          return false;
-        }
-        rebuilt.set(key, std::move(child));
-      }
+      JsonValue child;
+      if (!patch_child(*member, child)) return false;
+      rebuilt.set(key, std::move(child));
     } else if (key != head) {
       rebuilt.set(key, *member);
     }
   }
   if (!replaced) {
-    if (dot == std::string_view::npos) {
-      rebuilt.set(head, leaf);
-    } else {
-      JsonValue child;
-      if (!set_path(JsonValue::object(), path.substr(dot + 1), leaf, child,
-                    error)) {
-        return false;
-      }
-      rebuilt.set(head, std::move(child));
-    }
+    JsonValue child;
+    if (!patch_child(JsonValue::object(), child)) return false;
+    rebuilt.set(head, std::move(child));
   }
   out = std::move(rebuilt);
   return true;
@@ -565,6 +584,12 @@ bool expand_campaign(const ScenarioSpec& spec, std::vector<CampaignPoint>& out,
                   .arg("points", static_cast<std::int64_t>(out.size())));
   }
   return true;
+}
+
+bool detail::path_index(std::string_view segment, std::size_t& index) {
+  const char* end = segment.data() + segment.size();
+  const auto [ptr, ec] = std::from_chars(segment.data(), end, index);
+  return ec == std::errc{} && ptr == end;
 }
 
 bool detail::set_spec_path(const analysis::JsonValue& in,

@@ -151,10 +151,18 @@ struct CampaignRun {
                                    std::string& error);
 
 namespace detail {
+/// Reads one dotted-path segment as an array index: decimal digits only,
+/// overflow-checked, so "18446744073709551617" is rejected instead of
+/// wrapping onto a small index.  The one segment-to-index rule for both
+/// patching (set_spec_path) and dag `$ref` reads.
+[[nodiscard]] bool path_index(std::string_view segment, std::size_t& index);
+
 /// The dotted-path document patch campaign axes expand with, shared with
-/// dag `$ref` substitutions: rebuilds `in` with `path` set to `leaf`
-/// (missing intermediate objects are created; an existing non-object on
-/// the path fails with `error` naming the segment).
+/// dag `$ref` substitutions: rebuilds `in` with `path` set to `leaf`.
+/// Missing intermediate objects are created; a numeric segment indexes an
+/// existing array ("axes.1.values.0.value"), and an index past the end
+/// (appending) or a scalar on the path fails with `error` naming the
+/// segment.
 [[nodiscard]] bool set_spec_path(const analysis::JsonValue& in,
                                  std::string_view path,
                                  const analysis::JsonValue& leaf,

@@ -209,8 +209,8 @@ std::string result_event(const PendingPoint& point,
 
 /// One dag node's event, emitted as the node finalises: the node name /
 /// kind, every executed point with its summary metrics (full display
-/// documents with ServeOptions::full_results), and the reduce/search
-/// result document.
+/// documents with ServeOptions::full_results), and a derived node's
+/// (reduce/search/affine) result document.
 std::string dag_node_event(long req, const dag::DagNodeRun& node,
                            const ServeOptions& options) {
   JsonValue doc = JsonValue::object();
@@ -233,8 +233,7 @@ std::string dag_node_event(long req, const dag::DagNodeRun& node,
     points.push(std::move(entry));
   }
   doc.set("points", std::move(points));
-  if (node.kind == dag::DagNodeKind::kReduce ||
-      node.kind == dag::DagNodeKind::kSearch) {
+  if (dag::is_derived(node.kind)) {
     doc.set("result", node.doc);
   }
   return doc.dump();

@@ -26,9 +26,9 @@
 //    "points":[{"label":"uniform@0.50","metrics":{...}},...],
 //    "result":{...}}   (dag requests: one per node as it finalises, in
 //                       deterministic node order; "result" on
-//                       reduce/search nodes; a dag request's accepted
-//                       "points" counts nodes, and done follows the last
-//                       node event)
+//                       derived reduce/search/affine nodes; a dag
+//                       request's accepted "points" counts nodes, and
+//                       done follows the last node event)
 //   {"type":"stats","engine":"4 worker(s), ...",
 //    "metrics":{"gpupower_metrics":1,"engine":{...},"obs":{...}},
 //    "sessions":[{"id":1,...},...]}

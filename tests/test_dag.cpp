@@ -1,18 +1,22 @@
 // Campaign DAGs (core/dag/): parse-time validation names the offending
 // node and path (cycles, unknown `$ref` nodes, nested dags, duplicate
 // names); run-time `$ref` resolution errors name the node and missing
-// path; a diamond's shared upstream is computed exactly once through the
-// engine cache (counters pinned); search nodes bisect deterministically
-// and fail with pointed errors when the predicate cannot hold or the
-// interval cannot close; and a dag run is bit-identical to the
-// equivalent hand-sequenced submits, independent of worker count.
+// path, and array indices never wrap; a diamond's shared upstream is
+// computed exactly once through the engine cache (counters pinned); search
+// nodes bisect deterministically and fail with pointed errors when the
+// predicate cannot hold or the interval cannot close; affine nodes
+// interpolate two upstream numbers; and a dag run is bit-identical to the
+// equivalent hand-sequenced submits, independent of worker count — the
+// committed anchored fleet_capping DAG included.
 #include "core/dag/dag.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
+#include "analysis/json.hpp"
 #include "core/engine.hpp"
 #include "core/scenario.hpp"
 #include "core/spec.hpp"
@@ -278,6 +282,203 @@ TEST(DagRun, BitIdenticalToHandSequencedSubmitsAcrossWorkerCounts) {
   for (std::size_t n = 0; n < serial.nodes.size(); ++n) {
     EXPECT_EQ(serial.nodes[n].doc.dump(), threaded.nodes[n].doc.dump());
     EXPECT_EQ(serial.nodes[n].key, threaded.nodes[n].key);
+  }
+}
+
+// Runs a dag whose `$ref` indexes a 2-point campaign's points array at
+// `index`; 2^64 + 1 must not wrap onto points[1].
+bool run_index_ref(const std::string& index, std::string& error) {
+  const SpecParseResult parsed = parse_text(dag_text({
+      std::string(R"__({"name": "grid", "run": )__") + grid_campaign_text() +
+          "}",
+      std::string(R"__({"name": "b", "run": )__") +
+          static_run("gaussian(sigma=210)", 7) +
+          R"__(, "substitutions": [{"field": "experiment.base_seed", )__"
+          R"__("$ref": "grid.result.points.)__" +
+          index + R"__(.result.seeds"}]})__",
+  }));
+  EXPECT_TRUE(parsed.ok) << parsed.error;
+  if (!parsed.ok) return false;
+  ExperimentEngine engine(EngineOptions::with_workers(2));
+  dag::DagRun run;
+  return dag::run_dag(engine, *parsed.spec.dag, run, error);
+}
+
+TEST(DagSpec, OverflowingRefIndexFailsInsteadOfWrapping) {
+  std::string error;
+  EXPECT_TRUE(run_index_ref("1", error)) << error;
+  EXPECT_FALSE(run_index_ref("18446744073709551617", error));
+  EXPECT_NE(error.find("node 'b'"), std::string::npos) << error;
+  EXPECT_NE(error.find("has no value at 'points.18446744073709551617'"),
+            std::string::npos)
+      << error;
+}
+
+TEST(SpecPath, NumericSegmentsPatchExistingArrayElements) {
+  const auto parsed =
+      analysis::json_parse(R"({"axes": [{"values": [1, 2]}], "n": 64})");
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  analysis::JsonValue out;
+  std::string error;
+  ASSERT_TRUE(detail::set_spec_path(parsed.value, "axes.0.values.1",
+                                    analysis::JsonValue::integer(5), out,
+                                    error))
+      << error;
+  EXPECT_EQ(out.dump(), R"({"axes":[{"values":[1,5]}],"n":64})");
+
+  // Appending, an overflowing index, and a write through a scalar fail,
+  // naming the segment.
+  EXPECT_FALSE(detail::set_spec_path(parsed.value, "axes.0.values.2",
+                                     analysis::JsonValue::integer(5), out,
+                                     error));
+  EXPECT_NE(error.find("'2' is not an index into the 2-element array"),
+            std::string::npos)
+      << error;
+  EXPECT_FALSE(detail::set_spec_path(parsed.value,
+                                     "axes.18446744073709551616.values",
+                                     analysis::JsonValue::integer(5), out,
+                                     error));
+  EXPECT_NE(error.find("'18446744073709551616' is not an index"),
+            std::string::npos)
+      << error;
+  EXPECT_FALSE(detail::set_spec_path(parsed.value, "n.0",
+                                     analysis::JsonValue::integer(5), out,
+                                     error));
+  EXPECT_NE(error.find("'0' would patch inside a non-object, non-array"),
+            std::string::npos)
+      << error;
+}
+
+// --- affine nodes -----------------------------------------------------------
+
+std::string affine_node(const std::string& name, const std::string& body) {
+  return R"__({"name": ")__" + name + R"__(", "affine": )__" + body + "}";
+}
+
+std::string affine_dag_text(const std::string& body) {
+  return dag_text({std::string(R"__({"name": "a", "run": )__") +
+                       static_run("gaussian(sigma=210)", 42) + "}",
+                   affine_node("mid", body)});
+}
+
+TEST(DagAffine, ParseErrorsNameTheNodeAndKey) {
+  const struct {
+    std::string body;
+    std::string expect;
+  } cases[] = {
+      {R"__({"a": {"$ref": "a.result.power_w"}, "b": {"$ref": )__"
+       R"__("a.result.power_w"}, "f": 0.5, "g": 1})__",
+       "unknown key 'g'"},
+      {R"__({"a": {"$ref": "a.result.power_w"}, "b": {"$ref": )__"
+       R"__("a.result.power_w"}})__",
+       "nodes[1] 'mid'.affine.f: expected a number"},
+      {R"__({"a": {"$ref": "a.result.power_w"}, "b": {"$ref": )__"
+       R"__("a.result.power_w"}, "f": 1e999})__",
+       "nodes[1] 'mid'.affine.f: must be finite"},
+      {R"__({"a": {"$ref": "nope.result.power_w"}, "b": {"$ref": )__"
+       R"__("a.result.power_w"}, "f": 0.5})__",
+       "references unknown node 'nope'"},
+      {R"__({"a": {"$ref": "a.result.power_w"}, "b": {"$ref": )__"
+       R"__("mid.result.value"}, "f": 0.5})__",
+       "nodes[1] 'mid'.affine.b.$ref: $ref 'mid.result.value' references "
+       "the node itself"},
+      {R"__({"a": {"$ref": "a.result.power_w", "x": 1}, "b": {"$ref": )__"
+       R"__("a.result.power_w"}, "f": 0.5})__",
+       "unknown key 'x'"},
+  };
+  for (const auto& c : cases) {
+    const SpecParseResult parsed = parse_text(affine_dag_text(c.body));
+    ASSERT_FALSE(parsed.ok) << c.body;
+    EXPECT_NE(parsed.error.find(c.expect), std::string::npos)
+        << parsed.error;
+  }
+}
+
+TEST(DagAffine, InterpolatesInTheDocumentedOrder) {
+  const SpecParseResult parsed = parse_text(affine_dag_text(
+      R"__({"a": {"$ref": "a.result.power_w"}, )__"
+      R"__("b": {"$ref": "a.result.seeds"}, "f": 0.65})__"));
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  ExperimentEngine engine(EngineOptions::with_workers(2));
+  dag::DagRun run;
+  std::string error;
+  ASSERT_TRUE(dag::run_dag(engine, *parsed.spec.dag, run, error)) << error;
+  ASSERT_EQ(run.nodes.size(), 2u);
+  const dag::DagNodeRun& mid = run.nodes[1];
+  EXPECT_EQ(mid.kind, dag::DagNodeKind::kAffine);
+  EXPECT_TRUE(mid.points.empty());
+  EXPECT_EQ(engine.stats().submitted, 1u);  // an affine node submits nothing
+  const double a = run.nodes[0].points[0].result.static_result().power_w;
+  const double b = 2.0;  // seeds
+  const analysis::JsonValue* value = mid.doc.find("value");
+  ASSERT_NE(value, nullptr);
+  EXPECT_EQ(value->as_number(), a + 0.65 * (b - a));
+  EXPECT_EQ(mid.doc.find("a")->as_number(), a);
+  EXPECT_EQ(mid.doc.find("b")->as_number(), b);
+  EXPECT_EQ(mid.doc.find("f")->as_number(), 0.65);
+}
+
+TEST(DagAffine, NonNumericOperandFailsNamingNodeAndPath) {
+  const SpecParseResult parsed = parse_text(affine_dag_text(
+      R"__({"a": {"$ref": "a.result.power_w"}, )__"
+      R"__("b": {"$ref": "a.result.rails"}, "f": 0.5})__"));
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  ExperimentEngine engine(EngineOptions::with_workers(2));
+  dag::DagRun run;
+  std::string error;
+  EXPECT_FALSE(dag::run_dag(engine, *parsed.spec.dag, run, error));
+  EXPECT_NE(error.find("node 'mid'"), std::string::npos) << error;
+  EXPECT_NE(error.find("$ref 'a.result.rails' is not a number"),
+            std::string::npos)
+      << error;
+}
+
+// The committed anchored study: measuring the idle floor and the uncapped
+// peak, interpolating the caps with affine nodes and patching them into
+// the grid's cap axis must reproduce the committed campaign's points
+// exactly — same canonical keys, same result bytes — at any worker count.
+// A model change that moves the anchors fails here, not only in CI.
+TEST(DagAffine, AnchoredFleetCappingDagReproducesTheCommittedCampaign) {
+  const std::string specs = std::string(GPUPOWER_SOURCE_DIR) +
+                            "/examples/specs/";
+  const SpecParseResult dag_spec =
+      load_scenario_spec(specs + "fleet_capping_dag.json");
+  ASSERT_TRUE(dag_spec.ok) << dag_spec.error;
+  ASSERT_NE(dag_spec.spec.dag, nullptr);
+  const SpecParseResult campaign_spec =
+      load_scenario_spec(specs + "fleet_capping.json");
+  ASSERT_TRUE(campaign_spec.ok) << campaign_spec.error;
+
+  for (const int workers : {1, 4}) {
+    ExperimentEngine engine(EngineOptions::with_workers(workers));
+    dag::DagRun run;
+    std::string error;
+    ASSERT_TRUE(dag::run_dag(engine, *dag_spec.spec.dag, run, error))
+        << error;
+    CampaignRun campaign;
+    ASSERT_TRUE(submit_campaign(engine, campaign_spec.spec, campaign, error))
+        << error;
+    engine.wait_all();
+
+    const dag::DagNodeRun* grid = nullptr;
+    for (const dag::DagNodeRun& node : run.nodes) {
+      if (node.name == "grid") grid = &node;
+    }
+    ASSERT_NE(grid, nullptr);
+    ASSERT_EQ(grid->points.size(), campaign.points.size());
+    ASSERT_EQ(campaign.points.size(), 12u);
+    for (std::size_t i = 0; i < campaign.points.size(); ++i) {
+      EXPECT_EQ(grid->points[i].label, campaign.points[i].label);
+      EXPECT_EQ(canonical_scenario_key(grid->points[i].config),
+                canonical_scenario_key(campaign.points[i].config))
+          << "workers=" << workers << " point " << campaign.points[i].label;
+      EXPECT_EQ(scenario_result_to_json(grid->points[i].result).dump(),
+                scenario_result_to_json(campaign.handles[i].get()).dump());
+    }
+    // Every campaign point was already computed by the DAG's grid node.
+    for (const ExperimentEngine::SubmitOutcome outcome : campaign.outcomes) {
+      EXPECT_NE(outcome, ExperimentEngine::SubmitOutcome::kComputed);
+    }
   }
 }
 

@@ -286,5 +286,34 @@ TEST(ServeSession, FullResultsAttachTheDisplayDocument) {
   EXPECT_NE(full->find("power_w"), nullptr);
 }
 
+// Derived dag nodes stream their result document in the node event — an
+// affine node included (it has no points of its own).
+TEST(ServeSession, AffineDagNodeEventCarriesItsResultDocument) {
+  ExperimentEngine engine = make_engine();
+  const std::string dag =
+      std::string(R"json({"scenario": "dag", "nodes": [)json") +
+      R"json({"name": "a", "run": )json" + kSingleSpec + "}, " +
+      R"json({"name": "mid", "affine": {"a": {"$ref": "a.result.power_w"},)json"
+      R"json( "b": {"$ref": "a.result.seeds"}, "f": 0.5}}]})json";
+  const auto events = run_session(engine, dag + "\n");
+  const JsonValue* mid = nullptr;
+  double power_w = -1.0;
+  for (const JsonValue& event : events) {
+    if (event_type(event) != "node") continue;
+    if (str_field(event, "node") == "a") {
+      power_w =
+          num_field(*event.find("points")->at(0).find("metrics"), "power_w");
+    }
+    if (str_field(event, "node") == "mid") mid = &event;
+  }
+  ASSERT_NE(mid, nullptr);
+  EXPECT_EQ(str_field(*mid, "kind"), "affine");
+  EXPECT_EQ(mid->find("points")->size(), 0u);
+  const JsonValue* result = mid->find("result");
+  ASSERT_NE(result, nullptr);
+  EXPECT_EQ(num_field(*result, "value"), power_w + 0.5 * (1.0 - power_w));
+  EXPECT_EQ(event_type(events.back()), "done");
+}
+
 }  // namespace
 }  // namespace gpupower::core

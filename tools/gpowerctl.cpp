@@ -809,6 +809,10 @@ int expand_dag_node(const core::dag::DagSpec& dag,
                   node.search.metric.c_str(), node.search.predicate.c_str(),
                   node.search.target, node.search.tolerance);
       return 0;
+    case core::dag::DagNodeKind::kAffine:
+      std::printf("    a + %g * (b - a), a = %s, b = %s\n", node.affine.f,
+                  node.affine.a.raw.c_str(), node.affine.b.raw.c_str());
+      return 0;
   }
   return 0;
 }
@@ -817,10 +821,7 @@ int validate_dag(const Options& opts, const core::ScenarioSpec& spec) {
   const core::dag::DagSpec& dag = *spec.dag;
   std::size_t run_nodes = 0;
   for (const core::dag::DagNode& node : dag.nodes) {
-    if (node.kind == core::dag::DagNodeKind::kScenario ||
-        node.kind == core::dag::DagNodeKind::kCampaign) {
-      ++run_nodes;
-    }
+    if (!core::dag::is_derived(node.kind)) ++run_nodes;
   }
   std::string order;
   for (const std::size_t index : dag.order) {
@@ -939,10 +940,20 @@ int run_campaign(const Options& opts, const core::ScenarioSpec& spec) {
   return 0;
 }
 
-/// Prints the one-line summary of a derived (reduce/search) node from its
-/// result document.
+/// Prints the one-line summary of a derived node from its result
+/// document.  Search and affine values print round-trip exact (%.17g), so
+/// they can be pasted into a spec.
 void print_derived_node_summary(const core::dag::DagNodeRun& node) {
   const analysis::JsonValue* value = node.doc.find("value");
+  if (node.kind == core::dag::DagNodeKind::kAffine) {
+    auto number = [&](const char* key) {
+      const analysis::JsonValue* v = node.doc.find(key);
+      return v != nullptr ? v->as_number() : 0.0;
+    };
+    std::printf("  value = %.17g (a = %.17g, b = %.17g, f = %.17g)\n",
+                number("value"), number("a"), number("b"), number("f"));
+    return;
+  }
   if (node.kind == core::dag::DagNodeKind::kReduce) {
     const analysis::JsonValue* op = node.doc.find("op");
     const analysis::JsonValue* over = node.doc.find("over");
@@ -1016,10 +1027,7 @@ int run_dag_spec(const Options& opts, const core::ScenarioSpec& spec) {
         }
         entry.set("points", std::move(points));
       }
-      if (node.kind == core::dag::DagNodeKind::kReduce ||
-          node.kind == core::dag::DagNodeKind::kSearch) {
-        entry.set("result", node.doc);
-      }
+      if (core::dag::is_derived(node.kind)) entry.set("result", node.doc);
       nodes.push(std::move(entry));
     }
     doc.set("nodes", std::move(nodes));
@@ -1030,10 +1038,7 @@ int run_dag_spec(const Options& opts, const core::ScenarioSpec& spec) {
   for (const core::dag::DagNodeRun& node : run.nodes) {
     std::printf("# node %s (%s)\n", node.name.c_str(),
                 std::string(core::dag::name(node.kind)).c_str());
-    if (node.kind == core::dag::DagNodeKind::kReduce ||
-        node.kind == core::dag::DagNodeKind::kSearch) {
-      print_derived_node_summary(node);
-    }
+    if (core::dag::is_derived(node.kind)) print_derived_node_summary(node);
     if (node.points.empty()) continue;
     std::vector<std::string> headers{"point"};
     for (std::string& header :

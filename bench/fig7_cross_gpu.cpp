@@ -61,37 +61,45 @@ int main() {
         at2048.power_w, at2048.throttled ? "yes" : "no", at2048.clock_frac);
   }
 
-  // Submit every panel as one sweep per GPU, all in flight together.
-  std::vector<std::vector<core::SweepRun>> runs_by_panel;
+  // Submit every (panel x GPU x point) cell up front, all in flight
+  // together: handles[panel][gpu][point].
+  std::vector<std::vector<std::vector<core::ScenarioHandle>>> handles;
   for (const Panel& panel : kPanels) {
-    std::vector<core::SweepRun> runs;
+    std::vector<std::vector<core::ScenarioHandle>>& by_gpu =
+        handles.emplace_back();
     for (const auto gpu : kGpus) {
       auto builder = core::ExperimentConfigBuilder()
                          .gpu(gpu)
                          .dtype(numeric::DType::kFP16)
                          .env(env);
       if (gpu == gpusim::GpuModel::kRTX6000) builder.n(512);
-      runs.push_back(engine.submit_sweep(panel.figure, builder.build()));
+      const core::ExperimentConfig base = builder.build();
+      std::vector<core::ScenarioHandle>& by_point = by_gpu.emplace_back();
+      for (const core::SweepPoint& point : core::figure_sweep(panel.figure)) {
+        core::ExperimentConfig config = base;
+        config.pattern = point.spec;
+        by_point.push_back(engine.submit(std::move(config)));
+      }
     }
-    runs_by_panel.push_back(std::move(runs));
   }
   engine.wait_all();
 
   for (std::size_t p = 0; p < std::size(kPanels); ++p) {
     std::printf("--- %s (FP16) ---\n", kPanels[p].title);
-    const std::vector<core::SweepRun>& runs = runs_by_panel[p];
     std::vector<std::string> headers{
         std::string(core::figure_axis(kPanels[p].figure))};
     for (const auto gpu : kGpus) {
       headers.emplace_back(gpusim::name(gpu));
     }
     analysis::Table table(std::move(headers));
-    for (std::size_t i = 0; i < runs.front().points.size(); ++i) {
+    const std::vector<core::SweepPoint> points =
+        core::figure_sweep(kPanels[p].figure);
+    for (std::size_t i = 0; i < points.size(); ++i) {
       std::vector<double> row;
-      for (const core::SweepRun& run : runs) {
-        row.push_back(run.handles[i].get().static_result().power_w);
+      for (const std::vector<core::ScenarioHandle>& by_point : handles[p]) {
+        row.push_back(by_point[i].get().static_result().power_w);
       }
-      table.add_row(runs.front().points[i].label, row, 1);
+      table.add_row(points[i].label, row, 1);
     }
     table.print(std::cout);
     std::printf("\n");

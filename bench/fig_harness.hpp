@@ -1,24 +1,18 @@
-// Shared harness for the figure-regeneration benches: one bench binary per
-// paper figure, each printing the figure's series (power in watts per sweep
-// point, one column per datatype) exactly as the paper plots them.
-//
-// The harness runs on the ExperimentEngine: every (sweep point x datatype)
-// cell is submitted up front, fans out across the worker pool, and shared
-// points (e.g. the baseline column that several figures repeat) are served
-// from the engine cache.  Results are bit-identical to the serial path.
+// Shared harness for the figure benches that are not a single figure
+// sweep (fig1, fig2, fig7, fig8 and the ablations): the protocol preamble,
+// an engine with the metrics registry armed, and the engine summary line.
+// The fig3a..fig6d sweeps are campaign specs: `gpowerctl sweep --figure
+// fig6a` runs one and `--emit-spec` prints it.
 //
 // Environment knobs (see core/env.hpp): GPUPOWER_N, GPUPOWER_SEEDS,
-// GPUPOWER_TILES, GPUPOWER_KFRAC, GPUPOWER_WORKERS, GPUPOWER_CSV.  Defaults
-// favour CI speed; GPUPOWER_N=2048 GPUPOWER_SEEDS=10 reproduces the paper's
-// protocol.
+// GPUPOWER_TILES, GPUPOWER_KFRAC, GPUPOWER_WORKERS.  Defaults favour CI
+// speed; GPUPOWER_N=2048 GPUPOWER_SEEDS=10 reproduces the paper's protocol.
 #pragma once
 
 #include <cstdio>
-#include <iostream>
 #include <string>
 #include <vector>
 
-#include "analysis/table.hpp"
 #include "core/config_builder.hpp"
 #include "core/engine.hpp"
 #include "core/env.hpp"
@@ -55,50 +49,6 @@ inline core::ExperimentEngine make_engine(const core::BenchEnv& env) {
 
 inline void print_engine_stats(const core::ExperimentEngine& engine) {
   std::printf("\nengine: %s\n", core::engine_stats_line(engine).c_str());
-}
-
-/// Runs a figure's sweep for all four datatypes through the engine and
-/// prints the series table.  Returns the process exit code.
-inline int run_figure(core::FigureId id) {
-  // One span over the whole figure (submit fan-out through table print):
-  // with GPUPOWER_TRACE set the per-scenario engine spans nest under it.
-  core::obs::Span figure_span("bench.figure");
-  const core::BenchEnv env = core::read_bench_env();
-  print_preamble(env, core::figure_name(id));
-
-  core::ExperimentEngine engine = make_engine(env);
-
-  // One sweep per datatype, all in flight at once.
-  std::vector<core::SweepRun> runs;
-  for (const auto dtype : numeric::kAllDTypes) {
-    const core::ExperimentConfig base =
-        core::ExperimentConfigBuilder().dtype(dtype).env(env).build();
-    runs.push_back(engine.submit_sweep(id, base));
-  }
-  engine.wait_all();
-
-  std::vector<std::string> headers{std::string(core::figure_axis(id))};
-  for (const auto dtype : numeric::kAllDTypes) {
-    headers.push_back(std::string(numeric::name(dtype)) + " (W)");
-  }
-  analysis::Table table(std::move(headers));
-
-  const std::size_t n_points = runs.front().points.size();
-  for (std::size_t p = 0; p < n_points; ++p) {
-    std::vector<double> row;
-    for (const core::SweepRun& run : runs) {
-      row.push_back(run.handles[p].get().static_result().power_w);
-    }
-    table.add_row(runs.front().points[p].label, row, 1);
-  }
-
-  table.print(std::cout);
-  if (env.csv) {
-    std::printf("\nCSV:\n");
-    table.print_csv(std::cout);
-  }
-  print_engine_stats(engine);
-  return 0;
 }
 
 }  // namespace gpupower::bench

@@ -321,20 +321,6 @@ ScenarioKind ScenarioHandle::kind() const {
   return checked_job(job_, "kind").config.kind();
 }
 
-std::vector<SweepEntry> SweepRun::collect() const {
-  std::vector<SweepEntry> entries;
-  entries.reserve(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    entries.push_back({points[i], handles[i].get().static_result()});
-  }
-  return entries;
-}
-
-analysis::JsonValue SweepRun::to_json() const {
-  const std::vector<SweepEntry> entries = collect();
-  return sweep_to_json(figure, base, entries);
-}
-
 ExperimentEngine::ExperimentEngine(EngineOptions options)
     : state_(std::make_shared<detail::EngineState>()) {
   // Every engine binary honours GPUPOWER_TRACE / GPUPOWER_METRICS without
@@ -493,21 +479,6 @@ ScenarioHandle ExperimentEngine::submit(ScenarioConfig config,
   }
   state.queue_cv.notify_all();
   return ScenarioHandle(job);
-}
-
-SweepRun ExperimentEngine::submit_sweep(FigureId id,
-                                        const ExperimentConfig& base) {
-  SweepRun run;
-  run.figure = id;
-  run.base = base;
-  run.points = figure_sweep(id);
-  run.handles.reserve(run.points.size());
-  for (const SweepPoint& point : run.points) {
-    ExperimentConfig config = base;
-    config.pattern = point.spec;
-    run.handles.push_back(submit(std::move(config)));
-  }
-  return run;
 }
 
 void ExperimentEngine::wait_all() {

@@ -10,11 +10,13 @@
 //   ExperimentEngine engine;                       // worker pool sized to HW
 //   const ScenarioHandle fleet = engine.submit(fleet_config);
 //   const ScenarioHandle point = engine.submit(experiment_config);
-//   auto sweep = engine.submit_sweep(FigureId::kFig6aSparsity, base);
 //   engine.wait_all();
 //   const FleetResult& f = fleet.get().fleet();    // blocks if still running
 //   const ExperimentResult& r = point.get().static_result();
-//   auto entries = sweep.collect();                // [SweepPoint, Result]...
+//
+// A figure sweep or any other grid is a campaign spec (core/spec.hpp):
+// submit_campaign expands it and submits one point at a time through
+// submit.
 //
 // Bind the handle before taking a result reference: the reference lives
 // as long as some handle to the job does, and a cache-less engine keeps
@@ -39,11 +41,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
+#include <string>
 
 #include "analysis/json.hpp"
-#include "core/figures.hpp"
-#include "core/report.hpp"
 #include "core/scenario.hpp"
 
 namespace gpupower::core {
@@ -145,20 +145,6 @@ class ScenarioHandle {
   std::shared_ptr<detail::ScenarioJob> job_;
 };
 
-/// A figure sweep in flight: one handle per sweep point, in sweep order.
-struct SweepRun {
-  FigureId figure{};
-  ExperimentConfig base;          ///< shared scalars (pattern varies per point)
-  std::vector<SweepPoint> points;
-  std::vector<ScenarioHandle> handles;
-
-  /// Blocks until every point finishes; pairs each with its sweep point.
-  [[nodiscard]] std::vector<SweepEntry> collect() const;
-  /// Structured export: collect() fed through core/report.hpp's
-  /// sweep_to_json.
-  [[nodiscard]] analysis::JsonValue to_json() const;
-};
-
 class ExperimentEngine {
  public:
   explicit ExperimentEngine(EngineOptions options = {});
@@ -185,12 +171,6 @@ class ExperimentEngine {
   /// timeline, dangling cross-references, ...).
   ScenarioHandle submit(ScenarioConfig config,
                         SubmitOutcome* outcome = nullptr);
-
-  /// Enqueues every sweep point of a paper figure.  `base` supplies the
-  /// scalars (gpu, dtype, n, seeds, sampling...); each point's PatternSpec
-  /// overrides `base.pattern`.  (Campaign specs — core/spec.hpp — are the
-  /// generic grid form of this.)
-  SweepRun submit_sweep(FigureId id, const ExperimentConfig& base);
 
   /// Blocks until every outstanding job has finished.
   void wait_all();

@@ -67,7 +67,6 @@ BenchEnv read_bench_env() {
   env.workers = static_cast<int>(
       read_knob("GPUPOWER_WORKERS", 0L, {0, 256},
                 "worker count in [0, 256]; 0 = hardware concurrency"));
-  env.csv = std::getenv("GPUPOWER_CSV") != nullptr;
   return env;
 }
 

@@ -1,12 +1,13 @@
-// Environment-variable configuration shared by the bench binaries, so a
-// single knob set scales every figure harness between CI speed and
-// paper-fidelity runs:
+// Environment-variable configuration shared by the bench binaries and
+// gpowerctl's flag-built verbs (sweep, dmon, predict, dvfs, fleet, ...), so
+// a single knob set scales them between CI speed and paper-fidelity runs.
+// Spec verbs (run, validate, serve) take n/seeds/sampling from the spec
+// document instead; only GPUPOWER_WORKERS applies to them.
 //   GPUPOWER_N        matrix dimension (default 512; paper 2048)
 //   GPUPOWER_SEEDS    seeds per configuration (default 2; paper 10)
 //   GPUPOWER_TILES    sampled warp tiles, 0 = exact walk (default 12)
 //   GPUPOWER_KFRAC    fraction of K-slices walked (default 0.5)
 //   GPUPOWER_WORKERS  engine worker threads, 0 = hardware (default 0)
-//   GPUPOWER_CSV      when set, benches also print CSV blocks
 //
 // The persistent result store (core/store/) has its own knobs, shared by
 // gpowerctl's run and serve verbs:
@@ -31,8 +32,6 @@
 #include <cstddef>
 #include <string>
 
-#include "core/experiment.hpp"
-
 namespace gpupower::core {
 
 struct BenchEnv {
@@ -41,15 +40,6 @@ struct BenchEnv {
   std::size_t tiles = 12;
   double k_fraction = 0.5;
   int workers = 0;  ///< ExperimentEngine pool size; 0 = hardware concurrency
-  bool csv = false;
-
-  /// Applies the environment knobs onto an ExperimentConfig.
-  void apply(ExperimentConfig& config) const {
-    config.n = n;
-    config.seeds = seeds;
-    config.sampling.max_tiles = tiles;
-    config.sampling.k_fraction = k_fraction;
-  }
 };
 
 /// Reads the GPUPOWER_* variables.  Unset variables keep their defaults;

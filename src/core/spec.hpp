@@ -4,8 +4,9 @@
 // parse_scenario_spec + ExperimentEngine::submit) executes it.  The
 // `campaign` form grid-sweeps *arbitrary* named fields — cap level x
 // allocator, governor threshold x dtype, seeds, ... — and fans the
-// cross-product through the engine as one deduplicated batch, the generic
-// form of the figure-only submit_sweep.
+// cross-product through the engine as one deduplicated batch.  A paper
+// figure sweep is a campaign with a "figure" axis; `gpowerctl sweep
+// --emit-spec` writes one at any protocol (n, seeds, sampling).
 //
 // Single-scenario shape (every field optional unless noted; unknown keys
 // are rejected with an error naming the key):
@@ -142,10 +143,10 @@ struct CampaignRun {
 };
 
 /// expand_campaign + one engine submission per point (duplicates attach to
-/// cached jobs) — the shared driver behind `gpowerctl run`, the campaign
-/// benches, and the examples.  Submission is non-blocking; call
-/// engine.wait_all() or block on the handles.  Returns false with `error`
-/// on expansion failure.
+/// cached jobs) — the one figure/grid submission path, behind `gpowerctl
+/// run` and `sweep`, serve and dag campaign nodes.  Submission is
+/// non-blocking; call engine.wait_all() or block on the handles.  Returns
+/// false with `error` on expansion failure.
 [[nodiscard]] bool submit_campaign(ExperimentEngine& engine,
                                    const ScenarioSpec& spec, CampaignRun& out,
                                    std::string& error);

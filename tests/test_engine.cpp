@@ -10,6 +10,7 @@
 
 #include "core/config_builder.hpp"
 #include "core/figures.hpp"
+#include "core/spec.hpp"
 #include "core/store/result_store.hpp"
 
 namespace gpupower::core {
@@ -24,6 +25,23 @@ ExperimentConfig small_config(gpupower::numeric::DType dtype =
   config.sampling = gpupower::gpusim::SamplingPlan::fast(6, 0.5);
   config.pattern = baseline_gaussian_spec();
   return config;
+}
+
+// A campaign sweeping `figure` over `base`: the one figure-sweep path.
+ScenarioSpec figure_campaign(const ExperimentConfig& base,
+                             std::string_view figure) {
+  analysis::JsonValue axis = analysis::JsonValue::object();
+  axis.set("field", analysis::JsonValue::string("experiment.pattern"))
+      .set("figure", analysis::JsonValue::string(figure));
+  analysis::JsonValue axes = analysis::JsonValue::array();
+  axes.push(std::move(axis));
+  analysis::JsonValue doc = analysis::JsonValue::object();
+  doc.set("scenario", analysis::JsonValue::string("campaign"))
+      .set("base", spec_to_json(base))
+      .set("axes", std::move(axes));
+  const SpecParseResult parsed = parse_scenario_spec(doc);
+  EXPECT_TRUE(parsed.ok) << parsed.error;
+  return parsed.spec;
 }
 
 EngineOptions four_workers() {
@@ -56,12 +74,17 @@ TEST(ExperimentEngine, FullFigureSweepMatchesSerialBitwise) {
   ASSERT_GE(engine.workers(), 4);
 
   const ExperimentConfig base = small_config();
-  const SweepRun run = engine.submit_sweep(FigureId::kFig6aSparsity, base);
+  CampaignRun run;
+  std::string error;
+  ASSERT_TRUE(submit_campaign(engine, figure_campaign(base, "fig6a"), run,
+                              error))
+      << error;
   engine.wait_all();
 
   const auto points = figure_sweep(FigureId::kFig6aSparsity);
   ASSERT_EQ(run.points.size(), points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(run.points[i].label, points[i].label);
     ExperimentConfig config = base;
     config.pattern = points[i].spec;
     const ExperimentResult serial = run_experiment(config);
@@ -108,10 +131,13 @@ TEST(ExperimentEngine, DuplicateSubmitHitsCache) {
 
 TEST(ExperimentEngine, DuplicatedSweepIsComputedOnce) {
   ExperimentEngine engine(four_workers());
-  const ExperimentConfig base = small_config();
+  const ScenarioSpec spec = figure_campaign(small_config(), "fig3c");
 
-  const SweepRun first = engine.submit_sweep(FigureId::kFig3cValueSet, base);
-  const SweepRun second = engine.submit_sweep(FigureId::kFig3cValueSet, base);
+  CampaignRun first;
+  CampaignRun second;
+  std::string error;
+  ASSERT_TRUE(submit_campaign(engine, spec, first, error)) << error;
+  ASSERT_TRUE(submit_campaign(engine, spec, second, error)) << error;
   engine.wait_all();
 
   const EngineStats stats = engine.stats();
@@ -250,28 +276,6 @@ TEST(ExperimentEngine, SubmitOutcomeReportsHowEachSubmitWasServed) {
     }
   }
   std::filesystem::remove_all(dir);
-}
-
-TEST(ExperimentEngine, SweepRunCollectPairsPointsWithResults) {
-  ExperimentEngine engine(four_workers());
-  const SweepRun run =
-      engine.submit_sweep(FigureId::kFig6aSparsity, small_config());
-  const auto entries = run.collect();
-  const auto points = figure_sweep(FigureId::kFig6aSparsity);
-  ASSERT_EQ(entries.size(), points.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_EQ(entries[i].point.label, points[i].label);
-    EXPECT_GT(entries[i].result.power_w, 0.0);
-  }
-}
-
-TEST(ExperimentEngine, SweepRunExportsJson) {
-  ExperimentEngine engine(four_workers());
-  const SweepRun run =
-      engine.submit_sweep(FigureId::kFig3cValueSet, small_config());
-  const std::string json = run.to_json().dump();
-  EXPECT_NE(json.find("\"figure\""), std::string::npos);
-  EXPECT_NE(json.find("series"), std::string::npos);
 }
 
 TEST(ExperimentEngine, RejectsZeroSeedConfig) {

@@ -20,6 +20,7 @@
 #include "core/env.hpp"
 #include "core/fleet_experiment.hpp"
 #include "core/pattern_dsl.hpp"
+#include "core/report.hpp"
 #include "core/spec.hpp"
 #include "gpusim/fleet/allocator.hpp"
 #include "gpusim/fleet/thermal.hpp"

@@ -73,27 +73,5 @@ TEST(Report, ExperimentToJsonCarriesEverything) {
   EXPECT_NE(json.find("\"protocol\":"), std::string::npos);
 }
 
-TEST(Report, SweepToJsonShapesSeries) {
-  using gpupower::core::FigureId;
-  gpupower::core::ExperimentConfig base;
-  base.dtype = gpupower::numeric::DType::kFP16;
-  base.n = 128;
-  base.seeds = 1;
-  const auto sweep =
-      gpupower::core::figure_sweep(FigureId::kFig6aSparsity);
-  std::vector<gpupower::core::SweepEntry> entries;
-  for (std::size_t i = 0; i < 2; ++i) {
-    gpupower::core::ExperimentConfig config = base;
-    config.pattern = sweep[i].spec;
-    entries.push_back({sweep[i], gpupower::core::run_experiment(config)});
-  }
-  const std::string json =
-      gpupower::core::sweep_to_json(FigureId::kFig6aSparsity, base, entries)
-          .dump();
-  EXPECT_NE(json.find("\"figure\":\"fig6a\""), std::string::npos);
-  EXPECT_NE(json.find("\"series\":["), std::string::npos);
-  EXPECT_NE(json.find("\"label\":\"0%\""), std::string::npos);
-}
-
 }  // namespace
 }  // namespace gpupower::analysis

@@ -7,8 +7,8 @@
 //    fields;
 //  - the acceptance equivalences: a fleet-of-one, uncapped, thermal-off
 //    spec is bit-identical to the same timeline submitted as a DVFS config,
-//    and a campaign covering a figure sweep is bit-identical to
-//    submit_sweep (shared engine cache pins key identity);
+//    and a campaign covering a figure sweep is bit-identical to submitting
+//    each sweep point by hand (shared engine cache pins key identity);
 //  - EngineStats breaks the counters down by scenario kind.
 #include "core/spec.hpp"
 
@@ -457,15 +457,23 @@ TEST(Scenario, FleetOfOneSpecMatchesSubmitDvfsBitwise) {
   EXPECT_DOUBLE_EQ(fleet.backlog_p99_s, fleet.backlog_max_s);
 }
 
-// The acceptance criterion: a campaign spec covering an existing figure
-// sweep is bit-identical to submit_sweep — pinned through the shared
-// engine cache (identical canonical keys mean the campaign's submissions
-// all attach to the sweep's jobs).
-TEST(Scenario, CampaignFigureSweepMatchesSubmitSweepBitwise) {
+// The acceptance criterion: a campaign spec covering a figure sweep is
+// bit-identical to submitting `base` with each sweep point's PatternSpec
+// by hand — pinned through the shared engine cache (identical canonical
+// keys mean the campaign's submissions all attach to the hand-built jobs;
+// the figure axis carries patterns as DSL text, so this also pins the DSL
+// round trip).
+TEST(Scenario, CampaignFigureSweepMatchesPerPointSubmitsBitwise) {
   ExperimentEngine engine(EngineOptions::with_workers(4));
   ExperimentConfig base = small_experiment();
   base.pattern = baseline_gaussian_spec();
-  const SweepRun sweep = engine.submit_sweep(FigureId::kFig6aSparsity, base);
+  const std::vector<SweepPoint> sweep = figure_sweep(FigureId::kFig6aSparsity);
+  std::vector<ScenarioHandle> hand_handles;
+  for (const SweepPoint& point : sweep) {
+    ExperimentConfig config = base;
+    config.pattern = point.spec;
+    hand_handles.push_back(engine.submit(config));
+  }
 
   const std::string base_spec =
       spec_to_json(ScenarioConfig(base)).dump(/*pretty=*/false);
@@ -477,7 +485,7 @@ TEST(Scenario, CampaignFigureSweepMatchesSubmitSweepBitwise) {
   std::vector<CampaignPoint> points;
   std::string error;
   ASSERT_TRUE(expand_campaign(parsed.spec, points, error)) << error;
-  ASSERT_EQ(points.size(), sweep.points.size());
+  ASSERT_EQ(points.size(), sweep.size());
 
   std::vector<ScenarioHandle> handles;
   for (const CampaignPoint& point : points) {
@@ -486,13 +494,13 @@ TEST(Scenario, CampaignFigureSweepMatchesSubmitSweepBitwise) {
   engine.wait_all();
 
   const EngineStats stats = engine.stats();
-  // Every campaign point attached to the sweep's cached job: key identity.
+  // Every campaign point attached to the hand-built job: key identity.
   EXPECT_EQ(stats.cache_hits, points.size());
-  EXPECT_EQ(stats.jobs_computed, sweep.points.size());
+  EXPECT_EQ(stats.jobs_computed, sweep.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(points[i].label, sweep.points[i].label);
+    EXPECT_EQ(points[i].label, sweep[i].label);
     expect_identical(handles[i].get().static_result(),
-                     sweep.handles[i].get().static_result());
+                     hand_handles[i].get().static_result());
   }
 }
 

@@ -7,7 +7,8 @@
 //       run one experiment and stream DCGM-style 100 ms power samples,
 //       then print the trimmed-average summary
 //   gpowerctl sweep --figure fig5b [--gpu 0] [--dtype fp16] [--csv]
-//       regenerate one paper figure series
+//       regenerate one paper figure: its sweep points x all four dtypes
+//       (or the one --dtype names), one power column per dtype
 //   gpowerctl features --dtype fp16 --pattern "<dsl>"
 //       print the input statistics the power model consumes
 //   gpowerctl predict --dtype fp16 --pattern "<dsl>"
@@ -46,14 +47,18 @@
 // every replica computation (GPUPOWER_STORE=off disables it without
 // unsetting the directory).
 //
-// The dvfs/fleet verbs are spec-building shims: the flags assemble a spec
-// document (printable with --emit-spec for migration), which is parsed
-// back and submitted through the same type-erased path `run` uses.
+// The sweep/dvfs/fleet verbs are spec-building shims: the flags assemble a
+// spec document (printable with --emit-spec), which is parsed back and
+// submitted through the same type-erased path `run` uses.  A sweep's spec
+// is a campaign, so `sweep --emit-spec` at the paper protocol (--n 2048
+// --seeds 10) writes a file `gpowerctl run` reproduces.
 //
 // Common options: --n SIZE, --seeds K, --tiles T, --kfrac F, --workers W
-// (same meaning as the GPUPOWER_* environment knobs).  Sweeps and model
-// training run batched on the ExperimentEngine: every point fans out across
-// the worker pool and repeated configurations are served from the engine
+// (same meaning as the GPUPOWER_* environment knobs).  The spec verbs
+// (run, validate, serve) reject --n/--seeds/--tiles/--kfrac and ignore
+// those knobs: a spec carries its own protocol.  Sweeps and model training
+// run batched on the ExperimentEngine: every point fans out across the
+// worker pool and repeated configurations are served from the engine
 // cache.
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -65,6 +70,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <iterator>
 #include <limits>
@@ -106,6 +112,7 @@ struct Options {
   std::string command;
   unsigned gpu_index = 0;
   numeric::DType dtype = numeric::DType::kFP16;
+  bool dtype_set = false;  ///< --dtype given (sweep: one dtype, not all four)
   std::string pattern = "gaussian()";
   std::optional<core::FigureId> figure;
   core::BenchEnv env;
@@ -124,7 +131,7 @@ struct Options {
   // spec front end (run/validate, and the dvfs/fleet shims)
   std::string spec_path;  ///< positional <spec.json> of run/validate
   std::string bench_out;  ///< campaign bench-document output path
-  bool emit_spec = false; ///< dvfs/fleet: print the spec document and exit
+  bool emit_spec = false; ///< sweep/dvfs/fleet: print the spec and exit
   bool expand = false;    ///< validate: print expanded points / node order
   // serve command knobs
   std::string socket_path;   ///< serve: Unix socket instead of stdin
@@ -184,10 +191,11 @@ int usage(const char* argv0) {
                "Perfetto) of the run\n"
                "  --metrics-out FILE  run: engine + obs metrics JSON after "
                "the spec completes\n"
-               "  --emit-spec      dvfs/fleet: print the equivalent spec "
-               "JSON and exit\n"
+               "  --emit-spec      sweep/dvfs/fleet: print the equivalent "
+               "spec JSON and exit\n"
                "  --gpu N          device index (see 'discovery'; default 0)\n"
-               "  --dtype T        fp32 | fp16 | fp16t | int8 (default fp16)\n"
+               "  --dtype T        fp32 | fp16 | fp16t | int8 (default fp16;\n"
+               "                   sweep: all four)\n"
                "  --pattern DSL    e.g. \"gaussian(sigma=210) | sort_rows(40%%)\"\n"
                "  --figure ID      fig3a..fig6d (sweep command)\n"
                "  --timeline DSL   dvfs workload, e.g. \"burst(period=0.2, "
@@ -206,6 +214,9 @@ int usage(const char* argv0) {
                "  --thermal on     thread the RC die-temperature model "
                "across slices\n"
                "  --n SIZE --seeds K --tiles T --kfrac F --workers W --csv --json\n"
+               "                   (run/validate/serve reject --n/--seeds/--tiles/"
+               "--kfrac:\n"
+               "                   a spec carries its own protocol)\n"
                "environment (strict; malformed values exit 2):\n"
                "  GPUPOWER_STORE_DIR  persistent result store for run/serve: "
                "completed\n"
@@ -221,7 +232,8 @@ int usage(const char* argv0) {
                "  GPUPOWER_METRICS    'on' | 'off' — arm the metrics "
                "registry without\n"
                "                      tracing\n"
-               "  GPUPOWER_N/SEEDS/TILES/KFRAC/WORKERS/CSV  see README\n",
+               "  GPUPOWER_N/SEEDS/TILES/KFRAC/WORKERS  see README (specs "
+               "take only WORKERS)\n",
                argv0);
   return 2;
 }
@@ -257,6 +269,23 @@ bool number_flag(std::string_view flag, const char* text, T& out,
   return false;
 }
 
+/// --n/--seeds/--tiles/--kfrac set the protocol of the flag-built verbs.
+/// The spec verbs read it from the document, so on them the flag is an
+/// error naming where the value lives instead of a silent no-op.
+bool protocol_flag_applies(const Options& opts, std::string_view flag,
+                           std::string_view field, std::string& error) {
+  if (opts.command != "run" && opts.command != "validate" &&
+      opts.command != "serve") {
+    return true;
+  }
+  error = std::string(flag) + " does not apply to " + opts.command +
+          ": a spec carries its own protocol; set " + std::string(field) +
+          " in the spec (base." + std::string(field) +
+          " in a campaign), or write a figure campaign with 'gpowerctl "
+          "sweep --emit-spec'";
+  return false;
+}
+
 bool parse_args(int argc, char** argv, Options& opts, std::string& error) {
   if (argc < 2) {
     error = "missing command";
@@ -285,6 +314,7 @@ bool parse_args(int argc, char** argv, Options& opts, std::string& error) {
         error = "unknown dtype";
         return false;
       }
+      opts.dtype_set = true;
     } else if (flag == "--pattern") {
       const char* v = next();
       if (!v) {
@@ -301,13 +331,25 @@ bool parse_args(int argc, char** argv, Options& opts, std::string& error) {
       }
       opts.figure = id;
     } else if (flag == "--n") {
-      if (!number_flag(flag, next(), opts.env.n, error)) return false;
+      if (!protocol_flag_applies(opts, flag, "experiment.n", error) ||
+          !number_flag(flag, next(), opts.env.n, error)) {
+        return false;
+      }
     } else if (flag == "--seeds") {
-      if (!number_flag(flag, next(), opts.env.seeds, error)) return false;
+      if (!protocol_flag_applies(opts, flag, "experiment.seeds", error) ||
+          !number_flag(flag, next(), opts.env.seeds, error)) {
+        return false;
+      }
     } else if (flag == "--tiles") {
-      if (!number_flag(flag, next(), opts.env.tiles, error)) return false;
+      if (!protocol_flag_applies(opts, flag, "experiment.sampling.tiles",
+                                 error) ||
+          !number_flag(flag, next(), opts.env.tiles, error)) {
+        return false;
+      }
     } else if (flag == "--kfrac") {
-      if (!number_flag(flag, next(), opts.env.k_fraction, error)) {
+      if (!protocol_flag_applies(opts, flag,
+                                 "experiment.sampling.k_fraction", error) ||
+          !number_flag(flag, next(), opts.env.k_fraction, error)) {
         return false;
       }
     } else if (flag == "--timeline") {
@@ -545,40 +587,6 @@ int cmd_dmon(const Options& opts) {
   return 0;
 }
 
-int cmd_sweep(const Options& opts) {
-  if (!opts.figure) {
-    std::fprintf(stderr, "sweep needs --figure (fig3a..fig6d)\n");
-    return 2;
-  }
-  if (!opts.json) {
-    std::printf("%s on %s, %s\n",
-                std::string(core::figure_name(*opts.figure)).c_str(),
-                std::string(gpusim::name(kGpuByIndex[opts.gpu_index])).c_str(),
-                std::string(numeric::name(opts.dtype)).c_str());
-  }
-  core::ExperimentEngine engine = make_engine(opts);
-  const core::SweepRun run = engine.submit_sweep(
-      *opts.figure, make_config(opts, core::baseline_gaussian_spec()));
-  const std::vector<core::SweepEntry> entries = run.collect();
-
-  analysis::Table table({std::string(core::figure_axis(*opts.figure)),
-                         "power (W)", "std (W)", "alignment", "weight"});
-  for (const auto& entry : entries) {
-    table.add_row(entry.point.label,
-                  {entry.result.power_w, entry.result.power_std_w,
-                   entry.result.alignment, entry.result.weight_fraction},
-                  3);
-  }
-  if (opts.json) {
-    std::printf("%s\n", run.to_json().dump(/*pretty=*/true).c_str());
-  } else if (opts.csv) {
-    table.print_csv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
-  return 0;
-}
-
 core::DataFeatures features_for(const core::PatternSpec& spec,
                                 numeric::DType dtype, std::size_t n) {
   switch (dtype) {
@@ -627,25 +635,26 @@ int cmd_predict(const Options& opts) {
   core::ExperimentEngine engine = make_engine(opts);
   auto training_base = make_config(opts, core::baseline_gaussian_spec());
   training_base.seeds = 1;
-  std::vector<core::SweepRun> runs;
+  std::vector<std::pair<core::SweepPoint, core::ScenarioHandle>> training;
   for (const auto fig :
        {core::FigureId::kFig3bDistributionMean,
         core::FigureId::kFig5bSortedAligned, core::FigureId::kFig6aSparsity,
         core::FigureId::kFig4bLsbRandomized, core::FigureId::kFig6cLsbZeroed}) {
-    runs.push_back(engine.submit_sweep(fig, training_base));
+    for (const core::SweepPoint& point : core::figure_sweep(fig)) {
+      core::ExperimentConfig config = training_base;
+      config.pattern = point.spec;
+      training.emplace_back(point, engine.submit(std::move(config)));
+    }
   }
   const auto measured_handle = engine.submit(make_config(opts, spec));
   engine.wait_all();
 
   std::vector<core::PowerSample> samples;
-  for (const core::SweepRun& run : runs) {
-    for (std::size_t i = 0; i < run.points.size(); ++i) {
-      core::PowerSample sample;
-      sample.power_w = run.handles[i].get().static_result().power_w;
-      sample.features = features_for(run.points[i].spec, opts.dtype,
-                                     opts.env.n);
-      samples.push_back(sample);
-    }
+  for (const auto& [point, handle] : training) {
+    core::PowerSample sample;
+    sample.power_w = handle.get().static_result().power_w;
+    sample.features = features_for(point.spec, opts.dtype, opts.env.n);
+    samples.push_back(sample);
   }
   const auto model = core::InputDependentPowerModel::fit(samples);
   const auto stats = engine.stats();
@@ -879,7 +888,32 @@ int cmd_validate(const Options& opts) {
   return 0;
 }
 
-int run_campaign(const Options& opts, const core::ScenarioSpec& spec) {
+/// The `run` text form of a campaign: one row per point, the kind's metric
+/// columns.
+void print_campaign_table(const Options& opts, const core::CampaignRun& run) {
+  std::vector<std::string> headers{"point"};
+  for (std::string& header :
+       kind_metric_headers(run.points.front().config.kind())) {
+    headers.push_back(std::move(header));
+  }
+  analysis::Table table(std::move(headers));
+  for (std::size_t i = 0; i < run.points.size(); ++i) {
+    table.add_row(run.points[i].label,
+                  kind_metric_values(run.handles[i].get()), 3);
+  }
+  if (opts.csv) {
+    table.print_csv(std::cout);
+  } else {
+    table.print(std::cout);
+  }
+}
+
+/// Submits a campaign, waits, and writes --bench-out / --metrics-out and
+/// the --json document; without --json, `print_text` renders the finished
+/// points above the engine line.
+int run_campaign(
+    const Options& opts, const core::ScenarioSpec& spec,
+    const std::function<void(const core::CampaignRun&)>& print_text) {
   core::ExperimentEngine engine = make_engine(opts);
   core::CampaignRun run;
   std::string error;
@@ -920,22 +954,7 @@ int run_campaign(const Options& opts, const core::ScenarioSpec& spec) {
     std::printf("%s\n", doc.dump(/*pretty=*/true).c_str());
     return 0;
   }
-
-  std::vector<std::string> headers{"point"};
-  for (std::string& header :
-       kind_metric_headers(run.points.front().config.kind())) {
-    headers.push_back(std::move(header));
-  }
-  analysis::Table table(std::move(headers));
-  for (std::size_t i = 0; i < run.points.size(); ++i) {
-    table.add_row(run.points[i].label,
-                  kind_metric_values(run.handles[i].get()), 3);
-  }
-  if (opts.csv) {
-    table.print_csv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
+  print_text(run);
   print_engine_stats(engine);
   return 0;
 }
@@ -1064,7 +1083,11 @@ int cmd_run(const Options& opts) {
   const core::SpecParseResult parsed = core::load_scenario_spec(opts.spec_path);
   if (!parsed.ok) return spec_error(parsed.error);
   if (parsed.spec.dag != nullptr) return run_dag_spec(opts, parsed.spec);
-  if (parsed.spec.campaign) return run_campaign(opts, parsed.spec);
+  if (parsed.spec.campaign) {
+    return run_campaign(opts, parsed.spec, [&](const core::CampaignRun& run) {
+      print_campaign_table(opts, run);
+    });
+  }
 
   core::ExperimentEngine engine = make_engine(opts);
   const core::ScenarioHandle handle = engine.submit(parsed.spec.config);
@@ -1088,6 +1111,93 @@ int cmd_run(const Options& opts) {
   print_scenario_summary(parsed.spec.config, result);
   print_engine_stats(engine);
   return 0;
+}
+
+/// Spec-building shim like dvfs/fleet: the flags and GPUPOWER_* knobs
+/// assemble a campaign — experiment.dtype (all four, or --dtype) x the
+/// figure axis — that --emit-spec prints and `gpowerctl run` reproduces.
+/// The text form is the figure table: one row per sweep point, one power
+/// column per dtype.
+int cmd_sweep(const Options& opts) {
+  if (!opts.figure) {
+    std::fprintf(stderr, "sweep needs --figure (fig3a..fig6d)\n");
+    return 2;
+  }
+  const core::FigureId figure = *opts.figure;
+  const core::ExperimentConfig base =
+      make_config(opts, core::baseline_gaussian_spec());
+  std::vector<numeric::DType> dtypes{opts.dtype};
+  if (!opts.dtype_set) {
+    dtypes.assign(std::begin(numeric::kAllDTypes),
+                  std::end(numeric::kAllDTypes));
+  }
+  analysis::JsonValue dtype_values = analysis::JsonValue::array();
+  for (const numeric::DType dtype : dtypes) {
+    core::ExperimentConfig config = base;
+    config.dtype = dtype;
+    // The dtype's spec spelling, emitted by the one field table.
+    dtype_values.push(
+        *core::spec_to_json(config).find("experiment")->find("dtype"));
+  }
+  analysis::JsonValue dtype_axis = analysis::JsonValue::object();
+  dtype_axis.set("field", analysis::JsonValue::string("experiment.dtype"))
+      .set("values", std::move(dtype_values));
+  analysis::JsonValue points_axis = analysis::JsonValue::object();
+  points_axis.set("field", analysis::JsonValue::string("experiment.pattern"))
+      .set("figure", analysis::JsonValue::string(core::figure_key(figure)));
+  analysis::JsonValue axes = analysis::JsonValue::array();
+  axes.push(std::move(dtype_axis)).push(std::move(points_axis));
+  analysis::JsonValue spec_doc = analysis::JsonValue::object();
+  spec_doc.set("scenario", analysis::JsonValue::string("campaign"))
+      .set("name", analysis::JsonValue::string(core::figure_key(figure)))
+      .set("base", core::spec_to_json(base))
+      .set("axes", std::move(axes));
+  if (opts.emit_spec) {
+    std::printf("%s\n", spec_doc.dump(/*pretty=*/true).c_str());
+    return 0;
+  }
+  const core::SpecParseResult parsed = core::parse_scenario_spec(spec_doc);
+  if (!parsed.ok) {
+    return spec_error("internal spec round-trip failed: " + parsed.error);
+  }
+
+  return run_campaign(opts, parsed.spec, [&](const core::CampaignRun& run) {
+    std::printf("%s\n", std::string(core::figure_name(figure)).c_str());
+    std::printf(
+        "  protocol: %zux%zu GEMM on simulated %s, %d seed(s), "
+        "%zu sampled warp tiles, k-fraction %.2f\n",
+        base.n, base.n, std::string(gpusim::name(base.gpu)).c_str(),
+        base.seeds, base.sampling.max_tiles, base.sampling.k_fraction);
+    if (base.n < 2048) {
+      std::printf(
+          "  note: N<2048 leaves SMs idle (partial occupancy), deflating "
+          "absolute watts;\n"
+          "  run GPUPOWER_N=2048 GPUPOWER_SEEDS=10 for paper-protocol "
+          "levels.\n");
+    }
+    std::printf("\n");
+
+    std::vector<std::string> headers{std::string(core::figure_axis(figure))};
+    for (const numeric::DType dtype : dtypes) {
+      headers.push_back(std::string(numeric::name(dtype)) + " (W)");
+    }
+    analysis::Table table(std::move(headers));
+    // Row-major expansion: the dtype axis varies slowest.
+    const std::size_t rows = run.points.size() / dtypes.size();
+    for (std::size_t p = 0; p < rows; ++p) {
+      std::vector<double> row;
+      for (std::size_t d = 0; d < dtypes.size(); ++d) {
+        row.push_back(
+            run.handles[d * rows + p].get().static_result().power_w);
+      }
+      table.add_row(run.points[p].coords.back().second, row, 1);
+    }
+    if (opts.csv) {
+      table.print_csv(std::cout);
+    } else {
+      table.print(std::cout);
+    }
+  });
 }
 
 /// Long-lived service mode: one engine + one store, any number of clients.

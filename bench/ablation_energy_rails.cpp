@@ -83,7 +83,8 @@ int main() {
   const core::BenchEnv env = core::read_bench_env();
   bench::print_preamble(env,
                         "Ablation: per-rail contribution to each takeaway "
-                        "(FP16, baseline vs variant)");
+                        "(FP16, baseline vs variant)",
+                        "A100 PCIe");
 
   struct Variant {
     const char* name;

@@ -15,7 +15,8 @@
 int main() {
   using namespace gpupower;
   const core::BenchEnv env = core::read_bench_env();
-  bench::print_preamble(env, "Fig. 1: average iteration runtime by datatype");
+  bench::print_preamble(env, "Fig. 1: average iteration runtime by datatype",
+                        "A100 PCIe");
 
   core::ExperimentEngine engine = bench::make_engine(env);
 

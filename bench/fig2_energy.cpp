@@ -13,7 +13,8 @@ int main() {
   using namespace gpupower;
   const core::BenchEnv env = core::read_bench_env();
   bench::print_preamble(
-      env, "Fig. 2: average iteration energy, Gaussian random inputs");
+      env, "Fig. 2: average iteration energy, Gaussian random inputs",
+      "A100 PCIe");
 
   core::ExperimentEngine engine = bench::make_engine(env);
   std::vector<core::ScenarioHandle> handles;

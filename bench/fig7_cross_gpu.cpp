@@ -37,7 +37,8 @@ int main() {
   const core::BenchEnv env = core::read_bench_env();
   bench::print_preamble(env,
                         "Fig. 7: FP16 experiments across NVIDIA GPUs "
-                        "(V100 / A100 / H100 / RTX 6000)");
+                        "(V100 / A100 / H100 / RTX 6000)",
+                        "V100 / A100 / H100 (RTX 6000 at 512x512)");
 
   core::ExperimentEngine engine = bench::make_engine(env);
 

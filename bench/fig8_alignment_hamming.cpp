@@ -18,7 +18,8 @@ int main() {
   const core::BenchEnv env = core::read_bench_env();
   bench::print_preamble(env,
                         "Fig. 8: power vs bit alignment and Hamming weight "
-                        "(every experiment configuration)");
+                        "(every experiment configuration)",
+                        "A100 PCIe");
 
   core::ExperimentEngine engine = bench::make_engine(env);
 

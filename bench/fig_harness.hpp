@@ -1,6 +1,7 @@
 // Shared harness for the figure benches that are not a single figure
 // sweep (fig1, fig2, fig7, fig8 and the ablations): the protocol preamble,
-// an engine with the metrics registry armed, and the engine summary line.
+// an engine with the metrics registry armed, and the engine summary line
+// (the preamble and the engine line are gpowerctl sweep's too).
 // The fig3a..fig6d sweeps are campaign specs: `gpowerctl sweep --figure
 // fig6a` runs one and `--emit-spec` prints it.
 //
@@ -11,6 +12,7 @@
 
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/config_builder.hpp"
@@ -21,12 +23,17 @@
 
 namespace gpupower::bench {
 
-inline void print_preamble(const core::BenchEnv& env, std::string_view title) {
+/// The title and the protocol line: size, `device` (what the GEMMs run
+/// on), seeds and sampling.  `gpowerctl sweep` prints its figure tables
+/// under the same preamble.
+inline void print_preamble(const core::BenchEnv& env, std::string_view title,
+                           std::string_view device) {
   std::printf("%s\n", std::string(title).c_str());
   std::printf(
-      "  protocol: %zux%zu GEMM on simulated A100 PCIe, %d seed(s), "
+      "  protocol: %zux%zu GEMM on simulated %s, %d seed(s), "
       "%zu sampled warp tiles, k-fraction %.2f\n",
-      env.n, env.n, env.seeds, env.tiles, env.k_fraction);
+      env.n, env.n, std::string(device).c_str(), env.seeds, env.tiles,
+      env.k_fraction);
   if (env.n < 2048) {
     std::printf(
         "  note: N<2048 leaves SMs idle (partial occupancy), deflating "

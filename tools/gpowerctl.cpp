@@ -1,69 +1,17 @@
 // gpowerctl — dcgmi/nvidia-smi-flavoured command-line front end for the
-// simulator.  Lets a user poke the full stack without writing C++:
-//
-//   gpowerctl discovery
-//       list the modelled GPUs (index, name, TDP, memory)
-//   gpowerctl dmon --gpu 0 --dtype fp16t --pattern "gaussian(sigma=210)"
-//       run one experiment and stream DCGM-style 100 ms power samples,
-//       then print the trimmed-average summary
-//   gpowerctl sweep --figure fig5b [--gpu 0] [--dtype fp16] [--csv]
-//       regenerate one paper figure: its sweep points x all four dtypes
-//       (or the one --dtype names), one power column per dtype
-//   gpowerctl features --dtype fp16 --pattern "<dsl>"
-//       print the input statistics the power model consumes
-//   gpowerctl predict --dtype fp16 --pattern "<dsl>"
-//       train the input-dependent power model on the figure sweeps and
-//       predict the pattern's power without a kernel walk
-//   gpowerctl dvfs --dtype fp16t --timeline "burst(period=0.2, duty=30%)"
-//       [--governor "utilization(up=80%, down=30%)"]
-//       replay a workload timeline through the P-state machine and print
-//       the time-resolved power/clock trace plus the energy/latency summary
-//       against the fixed-max-clock and oracle baselines
-//   gpowerctl fleet --devices 4 --cap 900 --allocator proportional
-//       [--thermal on]
-//       fan the timeline across N simulated devices (phase-shifted per
-//       device) under a shared power cap and print per-device and
-//       fleet-aggregate energy/backlog/temperature, against the uncapped
-//       fleet baseline
-//   gpowerctl validate <spec.json>
-//       parse a declarative scenario spec (core/spec.hpp) and report what
-//       it would run — campaign grids are expanded and every point checked
-//   gpowerctl run <spec.json> [--json] [--bench-out FILE]
-//       execute a spec: one scenario, or a whole campaign grid fanned
-//       through the engine as one deduplicated batch
-//   gpowerctl serve [--socket PATH] [--full]
-//       long-lived mode: read newline-delimited spec JSON from stdin (or
-//       accept concurrent clients on a Unix socket) and stream one NDJSON
-//       result line per scenario as it completes; all clients share one
-//       engine and one result store, so identical submissions dedup
-//   gpowerctl top --socket PATH | --metrics-file FILE
-//       live operational view: poll a serve socket's stats events (or
-//       re-read a --metrics-out / GPUPOWER_METRICS document) and render
-//       engine throughput with per-poll deltas, replica-latency quantiles,
-//       the per-kind breakdown, and the live per-session rows
-//
-// With GPUPOWER_STORE_DIR set, run/serve attach the persistent result
-// store (core/store/): results survive the process and warm replays skip
-// every replica computation (GPUPOWER_STORE=off disables it without
-// unsetting the directory).
-//
-// The sweep/dvfs/fleet verbs are spec-building shims: the flags assemble a
-// spec document (printable with --emit-spec), which is parsed back and
-// submitted through the same type-erased path `run` uses.  A sweep's spec
-// is a campaign, so `sweep --emit-spec` at the paper protocol (--n 2048
-// --seeds 10) writes a file `gpowerctl run` reproduces.
-//
-// Common options: --n SIZE, --seeds K, --tiles T, --kfrac F, --workers W
-// (same meaning as the GPUPOWER_* environment knobs).  The spec verbs
-// (run, validate, serve) reject --n/--seeds/--tiles/--kfrac and ignore
-// those knobs: a spec carries its own protocol.  Sweeps and model training
-// run batched on the ExperimentEngine: every point fans out across the
-// worker pool and repeated configurations are served from the engine
-// cache.
+// simulator: list the modelled GPUs, run one experiment or a paper figure
+// sweep, replay DVFS / fleet timelines, execute declarative specs, and
+// serve them to concurrent clients.  The verbs are the rows of `kVerbs`
+// and the flags the rows of `kFlags` (bottom of this file); `parse_args`,
+// `usage()` and `main`'s dispatch all read those two tables, and a flag
+// whose row does not list the verb exits 2.  sweep/dvfs/fleet are
+// spec-building shims: the flags assemble a spec (printed by --emit-spec)
+// that runs through the same path as `gpowerctl run`.
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -74,18 +22,20 @@
 #include <iostream>
 #include <iterator>
 #include <limits>
-#include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "analysis/json.hpp"
-
 #include "analysis/table.hpp"
+#include "bench/fig_harness.hpp"
 #include "core/config_builder.hpp"
+#include "core/config_fields.hpp"
 #include "core/dag/dag.hpp"
 #include "core/dvfs_experiment.hpp"
 #include "core/engine.hpp"
@@ -108,11 +58,11 @@ namespace {
 
 using namespace gpupower;
 
+/// The parsed command line.  Each flag sets one member, named by its row
+/// in `kFlags`.
 struct Options {
-  std::string command;
-  unsigned gpu_index = 0;
-  numeric::DType dtype = numeric::DType::kFP16;
-  bool dtype_set = false;  ///< --dtype given (sweep: one dtype, not all four)
+  int gpu_index = 0;
+  std::optional<numeric::DType> dtype;  ///< unset: fp16 (sweep: all four)
   std::string pattern = "gaussian()";
   std::optional<core::FigureId> figure;
   core::BenchEnv env;
@@ -128,7 +78,7 @@ struct Options {
   std::optional<double> cap_w;  ///< unset = uncapped
   std::string allocator = "proportional";
   bool thermal = false;
-  // spec front end (run/validate, and the dvfs/fleet shims)
+  // spec front end (run/validate, and the sweep/dvfs/fleet shims)
   std::string spec_path;  ///< positional <spec.json> of run/validate
   std::string bench_out;  ///< campaign bench-document output path
   bool emit_spec = false; ///< sweep/dvfs/fleet: print the spec and exit
@@ -145,329 +95,15 @@ struct Options {
   // observability (flags win over GPUPOWER_TRACE / GPUPOWER_METRICS)
   std::string trace_out;     ///< Chrome-trace JSON output path
   std::string metrics_out;   ///< metrics_json() output path (run commands)
+
+  [[nodiscard]] numeric::DType dtype_or_fp16() const {
+    return dtype.value_or(numeric::DType::kFP16);
+  }
 };
 
 constexpr gpusim::GpuModel kGpuByIndex[] = {
     gpusim::GpuModel::kA100PCIe, gpusim::GpuModel::kH100SXM,
     gpusim::GpuModel::kV100SXM2, gpusim::GpuModel::kRTX6000};
-
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s <discovery|dmon|sweep|features|predict|dvfs|fleet"
-               "|run|validate|serve|top> [options]\n"
-               "  run <spec.json>      execute a scenario / campaign / dag "
-               "spec\n"
-               "  validate <spec.json> parse + expand a spec without running\n"
-               "                       (--expand prints campaign point labels "
-               "and dag\n"
-               "                       node order)\n"
-               "  serve                long-lived mode: newline-delimited "
-               "spec JSON on stdin,\n"
-               "                       NDJSON result events streamed as "
-               "scenarios complete\n"
-               "  top                  live view of a running serve socket "
-               "(--socket PATH)\n"
-               "                       or a metrics document "
-               "(--metrics-file FILE)\n"
-               "  --socket PATH    serve: accept concurrent clients on a "
-               "Unix socket\n"
-               "                   top: poll this serve socket's stats "
-               "events\n"
-               "  --metrics-file F top: re-read a --metrics-out / "
-               "GPUPOWER_METRICS document\n"
-               "  --interval MS    top: poll interval in milliseconds "
-               "(default 1000)\n"
-               "  --count N        top: stop after N polls (default 0 = "
-               "until ctrl-c)\n"
-               "  --plain          top: append frames instead of clearing "
-               "the terminal\n"
-               "  --full           serve: attach full result documents to "
-               "result events\n"
-               "  --stats-every N  serve: emit a stats event after every N "
-               "completed\n"
-               "                   scenarios (default 0 = on request only)\n"
-               "  --bench-out FILE bench-document export of a campaign run\n"
-               "  --trace-out FILE Chrome-trace JSON (chrome://tracing / "
-               "Perfetto) of the run\n"
-               "  --metrics-out FILE  run: engine + obs metrics JSON after "
-               "the spec completes\n"
-               "  --emit-spec      sweep/dvfs/fleet: print the equivalent "
-               "spec JSON and exit\n"
-               "  --gpu N          device index (see 'discovery'; default 0)\n"
-               "  --dtype T        fp32 | fp16 | fp16t | int8 (default fp16;\n"
-               "                   sweep: all four)\n"
-               "  --pattern DSL    e.g. \"gaussian(sigma=210) | sort_rows(40%%)\"\n"
-               "  --figure ID      fig3a..fig6d (sweep command)\n"
-               "  --timeline DSL   dvfs workload, e.g. \"burst(period=0.2, "
-               "duty=30%%, dur=2)\"\n"
-               "  --governor DSL   fixed(P) | utilization(up=..%%, down=..%%) "
-               "| oracle()\n"
-               "  --slice S        dvfs replay time step in seconds "
-               "(default 0.01)\n"
-               "  --pstates K      P-state table depth, 1 = DVFS off "
-               "(default 5)\n"
-               "  --devices N      fleet size (default 4)\n"
-               "  --cap W          shared fleet power cap in watts "
-               "(default: uncapped)\n"
-               "  --allocator P    uniform | proportional | priority | "
-               "greedy (default proportional)\n"
-               "  --thermal on     thread the RC die-temperature model "
-               "across slices\n"
-               "  --n SIZE --seeds K --tiles T --kfrac F --workers W --csv --json\n"
-               "                   (run/validate/serve reject --n/--seeds/--tiles/"
-               "--kfrac:\n"
-               "                   a spec carries its own protocol)\n"
-               "environment (strict; malformed values exit 2):\n"
-               "  GPUPOWER_STORE_DIR  persistent result store for run/serve: "
-               "completed\n"
-               "                      scenarios are written back and warm "
-               "replays skip\n"
-               "                      every replica computation\n"
-               "  GPUPOWER_STORE      'on' | 'off' — disable the store "
-               "without unsetting\n"
-               "                      the directory\n"
-               "  GPUPOWER_TRACE      Chrome-trace output path (same as "
-               "--trace-out;\n"
-               "                      the flag wins when both are set)\n"
-               "  GPUPOWER_METRICS    'on' | 'off' — arm the metrics "
-               "registry without\n"
-               "                      tracing\n"
-               "  GPUPOWER_N/SEEDS/TILES/KFRAC/WORKERS  see README (specs "
-               "take only WORKERS)\n",
-               argv0);
-  return 2;
-}
-
-/// Reads a numeric flag value whole — the end-pointer check env.cpp applies
-/// to GPUPOWER_*: "--n 64x" is an error, never 64.  Integers must also fit
-/// `out` (no silent narrowing).
-template <typename T>
-bool number_flag(std::string_view flag, const char* text, T& out,
-                 std::string& error) {
-  if (text == nullptr) {
-    error = std::string(flag) + " needs a value";
-    return false;
-  }
-  char* end = nullptr;
-  if constexpr (std::is_floating_point_v<T>) {
-    const double value = std::strtod(text, &end);
-    if (end != text && *end == '\0') {
-      out = value;
-      return true;
-    }
-    error = std::string(flag) + " expects a number, got '" + text + "'";
-  } else {
-    errno = 0;
-    const long long value = std::strtoll(text, &end, 10);
-    if (end != text && *end == '\0' && errno == 0 &&
-        std::in_range<T>(value)) {
-      out = static_cast<T>(value);
-      return true;
-    }
-    error = std::string(flag) + " expects an integer, got '" + text + "'";
-  }
-  return false;
-}
-
-/// --n/--seeds/--tiles/--kfrac set the protocol of the flag-built verbs.
-/// The spec verbs read it from the document, so on them the flag is an
-/// error naming where the value lives instead of a silent no-op.
-bool protocol_flag_applies(const Options& opts, std::string_view flag,
-                           std::string_view field, std::string& error) {
-  if (opts.command != "run" && opts.command != "validate" &&
-      opts.command != "serve") {
-    return true;
-  }
-  error = std::string(flag) + " does not apply to " + opts.command +
-          ": a spec carries its own protocol; set " + std::string(field) +
-          " in the spec (base." + std::string(field) +
-          " in a campaign), or write a figure campaign with 'gpowerctl "
-          "sweep --emit-spec'";
-  return false;
-}
-
-bool parse_args(int argc, char** argv, Options& opts, std::string& error) {
-  if (argc < 2) {
-    error = "missing command";
-    return false;
-  }
-  opts.command = argv[1];
-  opts.env = core::read_bench_env();
-  for (int i = 2; i < argc; ++i) {
-    const std::string_view flag = argv[i];
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (flag == "--csv") {
-      opts.csv = true;
-    } else if (flag == "--json") {
-      opts.json = true;
-    } else if (flag == "--gpu") {
-      if (!number_flag(flag, next(), opts.gpu_index, error)) return false;
-      if (opts.gpu_index >= 4) {
-        error = "gpu index out of range (0..3)";
-        return false;
-      }
-    } else if (flag == "--dtype") {
-      const char* v = next();
-      if (!v || !numeric::parse_dtype(v, opts.dtype)) {
-        error = "unknown dtype";
-        return false;
-      }
-      opts.dtype_set = true;
-    } else if (flag == "--pattern") {
-      const char* v = next();
-      if (!v) {
-        error = "--pattern needs a DSL string";
-        return false;
-      }
-      opts.pattern = v;
-    } else if (flag == "--figure") {
-      const char* v = next();
-      core::FigureId id;
-      if (!v || !core::parse_figure_id(v, id)) {
-        error = "unknown figure id";
-        return false;
-      }
-      opts.figure = id;
-    } else if (flag == "--n") {
-      if (!protocol_flag_applies(opts, flag, "experiment.n", error) ||
-          !number_flag(flag, next(), opts.env.n, error)) {
-        return false;
-      }
-    } else if (flag == "--seeds") {
-      if (!protocol_flag_applies(opts, flag, "experiment.seeds", error) ||
-          !number_flag(flag, next(), opts.env.seeds, error)) {
-        return false;
-      }
-    } else if (flag == "--tiles") {
-      if (!protocol_flag_applies(opts, flag, "experiment.sampling.tiles",
-                                 error) ||
-          !number_flag(flag, next(), opts.env.tiles, error)) {
-        return false;
-      }
-    } else if (flag == "--kfrac") {
-      if (!protocol_flag_applies(opts, flag,
-                                 "experiment.sampling.k_fraction", error) ||
-          !number_flag(flag, next(), opts.env.k_fraction, error)) {
-        return false;
-      }
-    } else if (flag == "--timeline") {
-      const char* v = next();
-      if (!v) {
-        error = "--timeline needs a DSL string";
-        return false;
-      }
-      opts.timeline = v;
-    } else if (flag == "--governor") {
-      const char* v = next();
-      if (!v) {
-        error = "--governor needs a DSL string";
-        return false;
-      }
-      opts.governor = v;
-    } else if (flag == "--slice") {
-      if (!number_flag(flag, next(), opts.slice_s, error)) return false;
-    } else if (flag == "--pstates") {
-      if (!number_flag(flag, next(), opts.pstates, error)) return false;
-    } else if (flag == "--devices") {
-      if (!number_flag(flag, next(), opts.devices, error)) return false;
-    } else if (flag == "--cap") {
-      if (!number_flag(flag, next(), opts.cap_w.emplace(), error)) {
-        return false;
-      }
-    } else if (flag == "--allocator") {
-      const char* v = next();
-      if (!v) {
-        error = "--allocator needs a policy name";
-        return false;
-      }
-      opts.allocator = v;
-    } else if (flag == "--thermal") {
-      const char* v = next();
-      if (!v || (std::strcmp(v, "on") != 0 && std::strcmp(v, "off") != 0)) {
-        error = "--thermal needs 'on' or 'off'";
-        return false;
-      }
-      opts.thermal = std::strcmp(v, "on") == 0;
-    } else if (flag == "--workers") {
-      if (!number_flag(flag, next(), opts.env.workers, error)) return false;
-    } else if (flag == "--bench-out") {
-      const char* v = next();
-      if (!v) {
-        error = "--bench-out needs a path";
-        return false;
-      }
-      opts.bench_out = v;
-    } else if (flag == "--emit-spec") {
-      opts.emit_spec = true;
-    } else if (flag == "--expand") {
-      opts.expand = true;
-    } else if (flag == "--socket") {
-      const char* v = next();
-      if (!v) {
-        error = "--socket needs a path";
-        return false;
-      }
-      opts.socket_path = v;
-    } else if (flag == "--full") {
-      opts.full_results = true;
-    } else if (flag == "--metrics-file") {
-      const char* v = next();
-      if (!v) {
-        error = "--metrics-file needs a path";
-        return false;
-      }
-      opts.metrics_file = v;
-    } else if (flag == "--interval") {
-      if (!number_flag(flag, next(), opts.top_interval_ms, error)) {
-        return false;
-      }
-      if (opts.top_interval_ms < 1) {
-        error = "--interval needs a positive millisecond count";
-        return false;
-      }
-    } else if (flag == "--count") {
-      if (!number_flag(flag, next(), opts.top_count, error)) return false;
-      if (opts.top_count < 0) {
-        error = "--count needs a count >= 0";
-        return false;
-      }
-    } else if (flag == "--plain") {
-      opts.plain = true;
-    } else if (flag == "--stats-every") {
-      if (!number_flag(flag, next(), opts.stats_every, error)) return false;
-      if (opts.stats_every < 0) {
-        error = "--stats-every needs a count >= 0";
-        return false;
-      }
-    } else if (flag == "--trace-out") {
-      const char* v = next();
-      if (!v) {
-        error = "--trace-out needs a path";
-        return false;
-      }
-      opts.trace_out = v;
-    } else if (flag == "--metrics-out") {
-      const char* v = next();
-      if (!v) {
-        error = "--metrics-out needs a path";
-        return false;
-      }
-      opts.metrics_out = v;
-    } else if (!flag.starts_with("--") && opts.spec_path.empty() &&
-               (opts.command == "run" || opts.command == "validate")) {
-      // Only run/validate take a positional (the spec path); a stray
-      // positional on any other verb stays a hard error — "fleet 400"
-      // must not silently run an uncapped fleet.
-      opts.spec_path = flag;
-    } else {
-      error = "unknown option '" + std::string(flag) + "'";
-      return false;
-    }
-  }
-  return true;
-}
 
 bool parse_pattern_or_die(const Options& opts, core::PatternSpec& spec) {
   const auto parsed = core::parse_pattern(opts.pattern);
@@ -480,7 +116,7 @@ bool parse_pattern_or_die(const Options& opts, core::PatternSpec& spec) {
   return true;
 }
 
-int cmd_discovery() {
+int cmd_discovery(const Options&) {
   analysis::Table table(
       {"idx", "name", "TDP (W)", "memory", "SMs", "boost (MHz)"});
   for (unsigned i = 0; i < 4; ++i) {
@@ -499,7 +135,7 @@ core::ExperimentConfig make_config(const Options& opts,
                                    const core::PatternSpec& spec) {
   const auto builder = core::ExperimentConfigBuilder()
                            .gpu(kGpuByIndex[opts.gpu_index])
-                           .dtype(opts.dtype)
+                           .dtype(opts.dtype_or_fp16())
                            .pattern(spec)
                            .env(opts.env);
   // Out-of-range --n/--seeds/--tiles/--kfrac values surface here.
@@ -538,33 +174,18 @@ int cmd_dmon(const Options& opts) {
       gemm::GemmProblem{config.n, config.n, config.n, 1.0f, 0.0f,
                         spec.transpose_b};
   telemetry::SamplerConfig sampler;
-  gpusim::PowerReport report;
-  switch (opts.dtype) {
-    case numeric::DType::kFP32: {
-      const auto in = core::build_inputs<float>(spec, opts.dtype, config.n, 42);
-      report = sim.run_gemm(problem, opts.dtype, in.a, in.b);
-      break;
-    }
-    case numeric::DType::kFP16:
-    case numeric::DType::kFP16T: {
-      const auto in = core::build_inputs<numeric::float16_t>(spec, opts.dtype,
-                                                             config.n, 42);
-      report = sim.run_gemm(problem, opts.dtype, in.a, in.b);
-      break;
-    }
-    case numeric::DType::kINT8: {
-      const auto in = core::build_inputs<numeric::int8_value_t>(
-          spec, opts.dtype, config.n, 42);
-      report = sim.run_gemm(problem, opts.dtype, in.a, in.b);
-      break;
-    }
-  }
+  const gpusim::PowerReport report =
+      core::with_storage_type(config.dtype, [&](auto storage) {
+        const auto in = core::build_inputs<typename decltype(storage)::type>(
+            spec, config.dtype, config.n, 42);
+        return sim.run_gemm(problem, config.dtype, in.a, in.b);
+      });
   const auto trace =
       telemetry::sample_run(report, config.effective_iterations(), sampler);
 
   std::printf("# gpowerctl dmon: %s, %s, pattern: %s\n",
               std::string(gpusim::name(config.gpu)).c_str(),
-              std::string(numeric::name(opts.dtype)).c_str(),
+              std::string(numeric::name(config.dtype)).c_str(),
               core::to_dsl(spec).c_str());
   std::printf("#  t(s)   power(W)\n");
   const std::size_t stride = std::max<std::size_t>(1, trace.size() / 20);
@@ -589,30 +210,18 @@ int cmd_dmon(const Options& opts) {
 
 core::DataFeatures features_for(const core::PatternSpec& spec,
                                 numeric::DType dtype, std::size_t n) {
-  switch (dtype) {
-    case numeric::DType::kFP32: {
-      const auto in = core::build_inputs<float>(spec, dtype, n, 42);
-      return core::extract_features(in.a, in.b);
-    }
-    case numeric::DType::kFP16:
-    case numeric::DType::kFP16T: {
-      const auto in = core::build_inputs<numeric::float16_t>(spec, dtype, n, 42);
-      return core::extract_features(in.a, in.b);
-    }
-    case numeric::DType::kINT8: {
-      const auto in =
-          core::build_inputs<numeric::int8_value_t>(spec, dtype, n, 42);
-      return core::extract_features(in.a, in.b);
-    }
-  }
-  return {};
+  return core::with_storage_type(dtype, [&](auto storage) {
+    const auto in = core::build_inputs<typename decltype(storage)::type>(
+        spec, dtype, n, 42);
+    return core::extract_features(in.a, in.b);
+  });
 }
 
 int cmd_features(const Options& opts) {
   core::PatternSpec spec;
   if (!parse_pattern_or_die(opts, spec)) return 1;
   const core::DataFeatures features =
-      features_for(spec, opts.dtype, opts.env.n);
+      features_for(spec, opts.dtype_or_fp16(), opts.env.n);
   std::printf("pattern: %s\n", core::to_dsl(spec).c_str());
   std::printf("  weight_fraction       %.4f\n", features.weight_fraction);
   std::printf("  neighbor_toggles      %.4f\n", features.neighbor_toggles);
@@ -626,12 +235,13 @@ int cmd_features(const Options& opts) {
 int cmd_predict(const Options& opts) {
   core::PatternSpec spec;
   if (!parse_pattern_or_die(opts, spec)) return 1;
+  const numeric::DType dtype = opts.dtype_or_fp16();
 
   // Train on a few representative sweeps at the configured size; the whole
   // training set runs batched on the engine (sweep points shared between
   // figures — e.g. each sweep's baseline column — are computed once).
   std::printf("training input-dependent power model (%s, n=%zu)...\n",
-              std::string(numeric::name(opts.dtype)).c_str(), opts.env.n);
+              std::string(numeric::name(dtype)).c_str(), opts.env.n);
   core::ExperimentEngine engine = make_engine(opts);
   auto training_base = make_config(opts, core::baseline_gaussian_spec());
   training_base.seeds = 1;
@@ -653,7 +263,7 @@ int cmd_predict(const Options& opts) {
   for (const auto& [point, handle] : training) {
     core::PowerSample sample;
     sample.power_w = handle.get().static_result().power_w;
-    sample.features = features_for(point.spec, opts.dtype, opts.env.n);
+    sample.features = features_for(point.spec, dtype, opts.env.n);
     samples.push_back(sample);
   }
   const auto model = core::InputDependentPowerModel::fit(samples);
@@ -666,7 +276,7 @@ int cmd_predict(const Options& opts) {
               model.r2(samples));
 
   const double predicted =
-      model.predict(features_for(spec, opts.dtype, opts.env.n));
+      model.predict(features_for(spec, dtype, opts.env.n));
   const auto& measured = measured_handle.get().static_result();
   std::printf("pattern:   %s\n", core::to_dsl(spec).c_str());
   std::printf("predicted: %.2f W (no kernel walk)\n", predicted);
@@ -729,10 +339,6 @@ std::vector<tools::BenchMetric> kind_bench_metrics(
     metrics.push_back({metric, value});
   }
   return metrics;
-}
-
-void print_engine_stats(const core::ExperimentEngine& engine) {
-  std::printf("\nengine: %s\n", core::engine_stats_line(engine).c_str());
 }
 
 /// Writes the bench trajectory document for a finished run; shared by the
@@ -955,7 +561,7 @@ int run_campaign(
     return 0;
   }
   print_text(run);
-  print_engine_stats(engine);
+  bench::print_engine_stats(engine);
   return 0;
 }
 
@@ -1074,7 +680,7 @@ int run_dag_spec(const Options& opts, const core::ScenarioSpec& spec) {
       table.print(std::cout);
     }
   }
-  print_engine_stats(engine);
+  bench::print_engine_stats(engine);
   return 0;
 }
 
@@ -1109,7 +715,7 @@ int cmd_run(const Options& opts) {
     return 0;
   }
   print_scenario_summary(parsed.spec.config, result);
-  print_engine_stats(engine);
+  bench::print_engine_stats(engine);
   return 0;
 }
 
@@ -1126,8 +732,8 @@ int cmd_sweep(const Options& opts) {
   const core::FigureId figure = *opts.figure;
   const core::ExperimentConfig base =
       make_config(opts, core::baseline_gaussian_spec());
-  std::vector<numeric::DType> dtypes{opts.dtype};
-  if (!opts.dtype_set) {
+  std::vector<numeric::DType> dtypes{opts.dtype_or_fp16()};
+  if (!opts.dtype) {
     dtypes.assign(std::begin(numeric::kAllDTypes),
                   std::end(numeric::kAllDTypes));
   }
@@ -1162,21 +768,8 @@ int cmd_sweep(const Options& opts) {
   }
 
   return run_campaign(opts, parsed.spec, [&](const core::CampaignRun& run) {
-    std::printf("%s\n", std::string(core::figure_name(figure)).c_str());
-    std::printf(
-        "  protocol: %zux%zu GEMM on simulated %s, %d seed(s), "
-        "%zu sampled warp tiles, k-fraction %.2f\n",
-        base.n, base.n, std::string(gpusim::name(base.gpu)).c_str(),
-        base.seeds, base.sampling.max_tiles, base.sampling.k_fraction);
-    if (base.n < 2048) {
-      std::printf(
-          "  note: N<2048 leaves SMs idle (partial occupancy), deflating "
-          "absolute watts;\n"
-          "  run GPUPOWER_N=2048 GPUPOWER_SEEDS=10 for paper-protocol "
-          "levels.\n");
-    }
-    std::printf("\n");
-
+    bench::print_preamble(opts.env, core::figure_name(figure),
+                          gpusim::name(base.gpu));
     std::vector<std::string> headers{std::string(core::figure_axis(figure))};
     for (const numeric::DType dtype : dtypes) {
       headers.push_back(std::string(numeric::name(dtype)) + " (W)");
@@ -1773,12 +1366,376 @@ int cmd_fleet(const Options& opts) {
   return 0;
 }
 
+// --- the verb and flag tables ------------------------------------------------
+
+/// What a verb runs: its flags, a <spec.json> positional, or a stream of
+/// specs.  The spec verbs take their protocol from the spec, so a protocol
+/// flag given to one names the spec field instead.
+enum class Input { kFlags, kSpecPath, kSpecStream };
+
+struct Verb {
+  std::string_view name;
+  int (*run)(const Options&);
+  Input input;
+  std::string_view summary;
+};
+
+constexpr Verb kVerbs[] = {
+    {"discovery", cmd_discovery, Input::kFlags,
+     "list the modelled GPUs (index, name, TDP, memory)"},
+    {"dmon", cmd_dmon, Input::kFlags,
+     "one experiment: DCGM-style 100 ms samples + summary"},
+    {"sweep", cmd_sweep, Input::kFlags,
+     "one paper figure: its points x four dtypes (or --dtype)"},
+    {"features", cmd_features, Input::kFlags,
+     "the input statistics the power model consumes"},
+    {"predict", cmd_predict, Input::kFlags,
+     "fit the input-dependent power model, predict a pattern"},
+    {"dvfs", cmd_dvfs, Input::kFlags,
+     "replay a timeline through the P-state machine"},
+    {"fleet", cmd_fleet, Input::kFlags,
+     "fan the timeline across devices under a shared power cap"},
+    {"run", cmd_run, Input::kSpecPath,
+     "execute a scenario / campaign / dag spec"},
+    {"validate", cmd_validate, Input::kSpecPath,
+     "parse + expand a spec without running it"},
+    {"serve", cmd_serve, Input::kSpecStream,
+     "long-lived: spec lines in, NDJSON result events out"},
+    {"top", cmd_top, Input::kFlags,
+     "live view of a serve socket or a metrics document"},
+};
+
+/// The Options member a flag sets: `member<&Options::csv>`, or through a
+/// nested struct, `member<&Options::env, &core::BenchEnv::n>`.
+template <auto... path>
+auto& member(Options& opts) {
+  return (opts .* ... .* path);
+}
+
+template <class T>
+using Member = T& (*)(Options&);
+
+/// A flag's value kind is its member's type: a bool is a switch (or reads
+/// on|off when the row names a value), a string takes the text, an int,
+/// size_t or double is read whole by number_flag, and the optionals read a
+/// number, a dtype or a figure id.
+using Target = std::variant<Member<bool>, Member<std::string>, Member<int>,
+                            Member<std::size_t>, Member<double>,
+                            Member<std::optional<double>>,
+                            Member<std::optional<numeric::DType>>,
+                            Member<std::optional<core::FigureId>>>;
+
+struct Flag {
+  std::string_view name;   ///< "--n"
+  std::string_view arg;    ///< the value's placeholder; empty for a switch
+  Target target;
+  std::string_view verbs;  ///< the verbs whose code reads the member
+  std::string_view help;
+  /// Where run/validate/serve read this value instead (protocol flags).
+  std::string_view spec_field = {};
+  /// A bound only the CLI knows; flags that set a config field get their
+  /// range from its config_fields row, through the builders.
+  std::optional<core::fields::Range> range = {};
+};
+
+/// The verbs that build an ExperimentConfig from the flags (make_config).
+constexpr std::string_view kConfigVerbs = "dmon sweep predict dvfs fleet";
+
+constexpr Flag kFlags[] = {
+    {"--gpu", "N", member<&Options::gpu_index>, kConfigVerbs,
+     "device index, see 'discovery' (default 0)", {},
+     core::fields::Range{0, 3}},
+    {"--dtype", "T", member<&Options::dtype>,
+     "dmon sweep features predict dvfs fleet",
+     "fp32, fp16 (default), fp16t, int8; sweep: all four"},
+    {"--pattern", "DSL", member<&Options::pattern>,
+     "dmon features predict dvfs fleet",
+     "input DSL, e.g. \"gaussian(sigma=210) | sort_rows(40%)\""},
+    {"--figure", "ID", member<&Options::figure>, "sweep",
+     "the paper figure to regenerate, fig3a..fig6d"},
+    {"--n", "SIZE", member<&Options::env, &core::BenchEnv::n>,
+     "dmon sweep features predict dvfs fleet",
+     "matrix dimension (as GPUPOWER_N)", "experiment.n"},
+    {"--seeds", "K", member<&Options::env, &core::BenchEnv::seeds>,
+     kConfigVerbs, "seeds per configuration (as GPUPOWER_SEEDS)",
+     "experiment.seeds"},
+    {"--tiles", "T", member<&Options::env, &core::BenchEnv::tiles>,
+     kConfigVerbs, "sampled warp tiles, 0 = exact walk (as GPUPOWER_TILES)",
+     "experiment.sampling.tiles"},
+    {"--kfrac", "F", member<&Options::env, &core::BenchEnv::k_fraction>,
+     kConfigVerbs, "fraction of K-slices walked (as GPUPOWER_KFRAC)",
+     "experiment.sampling.k_fraction"},
+    {"--workers", "W", member<&Options::env, &core::BenchEnv::workers>,
+     "sweep predict dvfs fleet run serve",
+     "engine threads, 0 = all cores (as GPUPOWER_WORKERS)"},
+    {"--timeline", "DSL", member<&Options::timeline>, "dvfs fleet",
+     "workload, e.g. \"burst(period=0.2, duty=30%, dur=2)\""},
+    {"--governor", "DSL", member<&Options::governor>, "dvfs fleet",
+     "fixed(P) | utilization(up=..%, down=..%) | oracle()"},
+    {"--slice", "S", member<&Options::slice_s>, "dvfs fleet",
+     "replay time step in seconds (default 0.01)"},
+    {"--pstates", "K", member<&Options::pstates>, "dvfs fleet",
+     "P-state table depth, 1 = DVFS off (default 5)"},
+    {"--devices", "N", member<&Options::devices>, "fleet",
+     "fleet size (default 4)"},
+    {"--cap", "W", member<&Options::cap_w>, "fleet",
+     "shared fleet power cap in watts (default: uncapped)"},
+    {"--allocator", "P", member<&Options::allocator>, "fleet",
+     "uniform, proportional (default), priority, greedy"},
+    {"--thermal", "on|off", member<&Options::thermal>, "fleet",
+     "thread the RC die-temperature model across slices"},
+    {"--emit-spec", "", member<&Options::emit_spec>, "sweep dvfs fleet",
+     "print the equivalent spec JSON instead of running it"},
+    {"--csv", "", member<&Options::csv>, "sweep dvfs fleet run",
+     "print tables as CSV"},
+    {"--json", "", member<&Options::json>, "sweep dvfs fleet run",
+     "print the result document as JSON"},
+    {"--bench-out", "FILE", member<&Options::bench_out>, "sweep run",
+     "bench-document export of the run"},
+    {"--metrics-out", "FILE", member<&Options::metrics_out>, "sweep run",
+     "engine + obs metrics JSON after the run"},
+    {"--trace-out", "FILE", member<&Options::trace_out>,
+     "dmon sweep predict dvfs fleet run validate serve",
+     "Chrome-trace JSON of the run (chrome://tracing)"},
+    {"--expand", "", member<&Options::expand>, "validate",
+     "print campaign point labels and dag node order"},
+    {"--socket", "PATH", member<&Options::socket_path>, "serve top",
+     "serve: accept clients on a Unix socket; top: poll it"},
+    {"--full", "", member<&Options::full_results>, "serve",
+     "attach full result documents to result events"},
+    {"--stats-every", "N", member<&Options::stats_every>, "serve",
+     "stats event every N results (default 0 = on request)", {},
+     core::fields::Range{0}},
+    {"--metrics-file", "FILE", member<&Options::metrics_file>, "top",
+     "re-read a --metrics-out / GPUPOWER_METRICS document"},
+    {"--interval", "MS", member<&Options::top_interval_ms>, "top",
+     "poll interval in milliseconds (default 1000)", {},
+     core::fields::Range{1}},
+    {"--count", "N", member<&Options::top_count>, "top",
+     "stop after N polls (default 0 = until ctrl-c)", {},
+     core::fields::Range{0}},
+    {"--plain", "", member<&Options::plain>, "top",
+     "append frames instead of clearing the terminal"},
+};
+
+/// Whether the space-separated verb list names `verb`.
+constexpr bool lists(std::string_view list, std::string_view verb) {
+  while (!list.empty()) {
+    const std::size_t end = std::min(list.find(' '), list.size());
+    if (list.substr(0, end) == verb) return true;
+    list.remove_prefix(std::min(end + 1, list.size()));
+  }
+  return false;
+}
+
+// A misspelt verb in a row would make the flag an error on that verb.
+static_assert(std::ranges::all_of(kFlags, [](const Flag& flag) {
+  return std::ranges::count_if(kVerbs, [&](const Verb& verb) {
+           return lists(flag.verbs, verb.name);
+         }) == std::ranges::count(flag.verbs, ' ') + 1;
+}));
+
+bool expected(const Flag& flag, std::string_view what, const char* text,
+              std::string& error) {
+  error = std::string(flag.name) + " expects " + std::string(what) +
+          ", got '" + text + "'";
+  return false;
+}
+
+/// Reads a numeric flag value whole — the end-pointer check env.cpp applies
+/// to GPUPOWER_*: "--n 64x" is an error, never 64.  Integers must also fit
+/// `out` (no silent narrowing).
+template <typename T>
+bool number_flag(const Flag& flag, const char* text, T& out,
+                 std::string& error) {
+  char* end = nullptr;
+  if constexpr (std::is_floating_point_v<T>) {
+    const double value = std::strtod(text, &end);
+    if (end != text && *end == '\0') {
+      out = value;
+      return true;
+    }
+    return expected(flag, "a number", text, error);
+  } else {
+    errno = 0;
+    const long long value = std::strtoll(text, &end, 10);
+    if (end != text && *end == '\0' && errno == 0 &&
+        std::in_range<T>(value)) {
+      out = static_cast<T>(value);
+      return true;
+    }
+    return expected(flag, "an integer", text, error);
+  }
+}
+
+// One reader per member type; `text` is null for a switch.
+bool read_value(const Flag& flag, const char* text, bool& out,
+                std::string& error) {
+  if (flag.arg.empty() || std::strcmp(text, "on") == 0) {
+    out = true;
+    return true;
+  }
+  if (std::strcmp(text, "off") == 0) {
+    out = false;
+    return true;
+  }
+  return expected(flag, "'on' or 'off'", text, error);
+}
+
+bool read_value(const Flag&, const char* text, std::string& out,
+                std::string&) {
+  out = text;
+  return true;
+}
+
+template <typename T>
+  requires std::is_arithmetic_v<T>
+bool read_value(const Flag& flag, const char* text, T& out,
+                std::string& error) {
+  if (!number_flag(flag, text, out, error)) return false;
+  if (flag.range && !flag.range->contains(static_cast<double>(out))) {
+    error = core::fields::out_of_range(flag.name, text, *flag.range);
+    return false;
+  }
+  return true;
+}
+
+bool read_value(const Flag& flag, const char* text, std::optional<double>& out,
+                std::string& error) {
+  return read_value(flag, text, out.emplace(), error);
+}
+
+bool read_value(const Flag& flag, const char* text,
+                std::optional<numeric::DType>& out, std::string& error) {
+  return numeric::parse_dtype(text, out.emplace()) ||
+         expected(flag, "fp32 | fp16 | fp16t | int8", text, error);
+}
+
+bool read_value(const Flag& flag, const char* text,
+                std::optional<core::FigureId>& out, std::string& error) {
+  return core::parse_figure_id(text, out.emplace()) ||
+         expected(flag, "fig3a..fig6d", text, error);
+}
+
+/// Parses `<verb> [flags]` (plus run/validate's <spec.json>) against the
+/// tables: the verb, or nullptr with `error` set.
+const Verb* parse_args(int argc, char** argv, Options& opts,
+                       std::string& error) {
+  if (argc < 2) {
+    error = "missing command";
+    return nullptr;
+  }
+  const Verb* verb = std::ranges::find(kVerbs, std::string_view(argv[1]),
+                                       &Verb::name);
+  if (verb == std::end(kVerbs)) {
+    error = "unknown command '" + std::string(argv[1]) + "'";
+    return nullptr;
+  }
+  opts.env = core::read_bench_env();
+  for (int i = 2; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const Flag* flag = std::ranges::find(kFlags, arg, &Flag::name);
+    if (flag == std::end(kFlags)) {
+      // Only run/validate take a positional (the spec path); a stray
+      // positional on any other verb stays a hard error — "fleet 400"
+      // must not silently run an uncapped fleet.
+      if (verb->input == Input::kSpecPath && opts.spec_path.empty() &&
+          !arg.starts_with("--")) {
+        opts.spec_path = arg;
+        continue;
+      }
+      error = "unknown option '" + std::string(arg) + "'";
+      return nullptr;
+    }
+    if (!lists(flag->verbs, verb->name)) {
+      error = std::string(arg) + " does not apply to " +
+              std::string(verb->name);
+      if (!flag->spec_field.empty() && verb->input != Input::kFlags) {
+        const std::string field(flag->spec_field);
+        error += ": a spec carries its own protocol; set " + field +
+                 " in the spec (base." + field +
+                 " in a campaign), or write a figure campaign with "
+                 "'gpowerctl sweep --emit-spec'";
+      }
+      return nullptr;
+    }
+    const char* text = nullptr;
+    if (!flag->arg.empty()) {
+      if (i + 1 == argc) {
+        error = std::string(arg) + " needs a value";
+        return nullptr;
+      }
+      text = argv[++i];
+    }
+    const auto read = [&](auto at) {
+      return read_value(*flag, text, at(opts), error);
+    };
+    if (!std::visit(read, flag->target)) return nullptr;
+  }
+  return verb;
+}
+
+int usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s <verb> [flags]\n"
+               "verbs, each with the flags it reads (any other flag exits "
+               "2):\n",
+               argv0);
+  for (const Verb& verb : kVerbs) {
+    std::string head(verb.name);
+    if (verb.input == Input::kSpecPath) head += " <spec.json>";
+    std::fprintf(stderr, "  %-20s %s\n", head.c_str(),
+                 std::string(verb.summary).c_str());
+    std::string line;
+    for (const Flag& flag : kFlags) {
+      if (!lists(flag.verbs, verb.name)) continue;
+      if (line.size() + 1 + flag.name.size() > 56) {
+        std::fprintf(stderr, "%22s%s\n", "", line.c_str());
+        line.clear();
+      }
+      line += ' ';
+      line += flag.name;
+    }
+    if (!line.empty()) std::fprintf(stderr, "%22s%s\n", "", line.c_str());
+  }
+  std::fprintf(stderr, "flags:\n");
+  for (const Flag& flag : kFlags) {
+    std::string head(flag.name);
+    if (!flag.arg.empty()) {
+      head += ' ';
+      head += flag.arg;
+    }
+    std::fprintf(stderr, "  %-20s %s\n", head.c_str(),
+                 std::string(flag.help).c_str());
+  }
+  std::fprintf(stderr,
+               "environment (strict; malformed values exit 2):\n"
+               "  GPUPOWER_STORE_DIR  persistent result store for run/serve: "
+               "completed\n"
+               "                      scenarios are written back and warm "
+               "replays skip\n"
+               "                      every replica computation\n"
+               "  GPUPOWER_STORE      'on' | 'off' — disable the store "
+               "without unsetting\n"
+               "                      the directory\n"
+               "  GPUPOWER_TRACE      Chrome-trace output path (same as "
+               "--trace-out;\n"
+               "                      the flag wins when both are set)\n"
+               "  GPUPOWER_METRICS    'on' | 'off' — arm the metrics "
+               "registry without\n"
+               "                      tracing\n"
+               "  GPUPOWER_N/SEEDS/TILES/KFRAC/WORKERS  see README (specs "
+               "take only WORKERS)\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opts;
   std::string error;
-  if (!parse_args(argc, argv, opts, error)) {
+  const Verb* verb = parse_args(argc, argv, opts, error);
+  if (verb == nullptr) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return usage(argv[0]);
   }
@@ -1787,17 +1744,5 @@ int main(int argc, char** argv) {
   // which only fills still-default knobs.
   if (!opts.trace_out.empty()) core::obs::set_trace_path(opts.trace_out);
   if (!opts.metrics_out.empty()) core::obs::set_metrics_enabled(true);
-  if (opts.command == "discovery") return cmd_discovery();
-  if (opts.command == "dmon") return cmd_dmon(opts);
-  if (opts.command == "sweep") return cmd_sweep(opts);
-  if (opts.command == "features") return cmd_features(opts);
-  if (opts.command == "predict") return cmd_predict(opts);
-  if (opts.command == "dvfs") return cmd_dvfs(opts);
-  if (opts.command == "fleet") return cmd_fleet(opts);
-  if (opts.command == "run") return cmd_run(opts);
-  if (opts.command == "validate") return cmd_validate(opts);
-  if (opts.command == "serve") return cmd_serve(opts);
-  if (opts.command == "top") return cmd_top(opts);
-  std::fprintf(stderr, "error: unknown command '%s'\n", opts.command.c_str());
-  return usage(argv[0]);
+  return verb->run(opts);
 }
